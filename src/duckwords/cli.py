@@ -11,7 +11,6 @@ import json
 import sys
 
 from . import __version__
-from .cache import cache_key, load, resolve_dir, store
 from .counts import (
     catalan,
     catalan3d,
@@ -64,25 +63,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_triangle(args) -> int:
-    cache_dir = resolve_dir(args.cache_dir)
-    key = cache_key(
-        "triangle",
-        {"kind": args.kind, "kmax": args.kmax, "method": args.method, "limit": args.limit},
-        __version__,
-    )
-    rows = load(cache_dir, key)
-    if rows is None:
-        if args.kind == "duck":
-            tri = duck_triangle(args.kmax, args.limit)
-            rows = [list(r) for r in tri.rows]
-        else:
-            tri = underlined_triangle(args.kmax, args.method, args.limit)
-            rows = [list(r) for r in tri.rows]
-            if args.kind == "redvhc":
-                # display in increasing permutation size, i.e. deficiency
-                # k-1 down to 0, matching the reduced-count triangle layout
-                rows = [list(reversed(r)) for r in rows]
-        store(cache_dir, key, rows)
+    if args.kind == "duck":
+        if args.method != "transform":
+            raise InvalidInput(f"triangle duck has no method {args.method!r}")
+        tri = duck_triangle(args.kmax)
+    else:
+        tri = underlined_triangle(args.kmax, args.method, args.limit)
+    rows = [list(r) for r in tri.rows]
+    if args.kind == "redvhc":
+        # display in increasing permutation size, i.e. deficiency
+        # k-1 down to 0, matching the reduced-count triangle layout
+        rows = [list(reversed(r)) for r in rows]
     if args.format == "json":
         _emit(json.dumps({"kind": args.kind, "rows": rows}), args.out)
     elif args.format == "text":
@@ -115,13 +106,13 @@ def _run_roundtrips(kmax: int) -> dict:
     return {"kmax": kmax, "checked": checked, "failures": failures, "pass": not failures}
 
 
-def _check_golden(kmax: int, golden_dir: str | None, limit: int) -> dict:
+def _check_golden(kmax: int, golden_dir: str | None) -> dict:
     mismatches: list[dict] = []
     golden_duck = load_golden_triangle("duck", golden_dir)
     golden_red = load_golden_triangle("redvhc", golden_dir)
     upto = min(kmax, golden_duck.kmax, golden_red.kmax)
-    duck = duck_triangle(upto, limit)
-    underlined = underlined_triangle(upto, "transform", limit)
+    duck = duck_triangle(upto)
+    underlined = underlined_triangle(upto, "transform")
     for k in range(1, upto + 1):
         if duck.row(k) != golden_duck.row(k):
             mismatches.append(
@@ -141,7 +132,7 @@ def cmd_verify(args) -> int:
         "identities": verify_identities(args.kmax, args.limit),
         "eq1": [verify_eq1(n, args.brute_bound) for n in range(args.eq1_max + 1)],
         "roundtrips": _run_roundtrips(min(args.kmax, args.roundtrip_max)),
-        "golden": _check_golden(args.kmax, args.golden_dir, args.limit),
+        "golden": _check_golden(args.kmax, args.golden_dir),
     }
     report["all_pass"] = (
         report["identities"]["all_pass"]
@@ -294,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["transform", "enumerate", "brute_vhc"],
                    default="transform")
     p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-    p.add_argument("--limit", type=int, default=7)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--limit", type=int, default=7,
+                   help="largest kmax for --method enumerate (default 7)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)
 
@@ -304,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq1-max", type=int, default=6)
     p.add_argument("--roundtrip-max", type=int, default=4)
     p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
-    p.add_argument("--limit", type=int, default=7)
+    p.add_argument("--limit", type=int, default=7,
+                   help="largest k for generating underlined words directly (default 7)")
     p.add_argument("--golden-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

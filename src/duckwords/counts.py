@@ -7,6 +7,15 @@ the point deficiency -- entry i of the reduced-configuration triangle counts
 reduced configurations with k hooks on 3k-i points, and entry i of the duck
 triangle counts 3D-Dyck words of length 3k with exactly i Y's not preceded
 by an X.
+
+The duck triangle is counted by a recurrence, not by listing words.  Whether
+an appended Y raises i depends only on the letter before it, so a 3D-Dyck
+prefix is summed up by its letter counts (x, y, z) and whether it ends in an
+X; `duck_triangle` runs a dynamic program over those states, each holding
+its counts indexed by i, for k up to TRANSFER_KMAX.  The underlined and
+reduced-configuration rows, f_k and h_k all follow from it by the binomial
+transform and the shift.  Enumeration stays as the independent oracle
+(`underlined_triangle(method="enumerate")`), bounded by an enumeration limit.
 """
 from __future__ import annotations
 
@@ -20,10 +29,13 @@ from pathlib import Path
 from .errors import InvalidInput, ResourceLimit
 from .hooks import DEFAULT_BRUTE_BOUND, red_vhc_count_brute
 from .maps import tennis_lawns
-from .words import duck_index, enumerate_3d_dyck, enumerate_dyck, enumerate_underlined
+from .words import enumerate_dyck, enumerate_underlined
 
 # Enumerations beyond this k are refused unless the caller raises the limit.
 DEFAULT_ENUM_LIMIT = 7
+# duck_triangle refuses rows beyond this k; the recurrence takes about a
+# second to reach it.
+TRANSFER_KMAX = 50
 
 
 def catalan(k: int) -> int:
@@ -78,20 +90,57 @@ class CountTriangle:
         return cls(tuple(rows))
 
 
+def _check_kmax(kmax: int) -> None:
+    if kmax < 0:
+        raise InvalidInput(f"kmax must be nonnegative, got {kmax}")
+
+
 def _check_enum_limit(kmax: int, limit: int) -> None:
     if kmax > limit:
         raise ResourceLimit(f"kmax={kmax} exceeds enumeration limit {limit}")
 
 
-def duck_triangle(kmax: int, limit: int = DEFAULT_ENUM_LIMIT) -> CountTriangle:
-    """Duck counts by (k, i), from classifying every 3D-Dyck word."""
-    _check_enum_limit(kmax, limit)
+def duck_triangle(kmax: int) -> CountTriangle:
+    """
+    Duck counts by (k, i) for every k <= kmax.  A negative kmax raises
+    InvalidInput, and one above TRANSFER_KMAX raises ResourceLimit.
+
+    A transfer-matrix recurrence over 3D-Dyck prefixes.  The state of a
+    prefix is its letter counts (x, y, z), with x >= y >= z, and whether its
+    last letter is an X; each state holds the number of prefixes reaching it
+    as a list indexed by i, the number of Y's so far not preceded by an X.
+    Appending X, Y or Z keeps x >= y >= z, and a Y appended after a Y or Z
+    shifts the list up by one.  Every prefix ending at (k, k, k) is a whole
+    word of length 3k with x <= k throughout, so one pass bounded by
+    x <= kmax gives every row: row k is the list at (k, k, k), whose last
+    letter is always a Z.  Only two layers of x are kept.
+    """
+    _check_kmax(kmax)
+    if kmax > TRANSFER_KMAX:
+        raise ResourceLimit(f"kmax={kmax} exceeds recurrence limit {TRANSFER_KMAX}")
+    zero = [0] * kmax
     rows = []
-    for k in range(1, kmax + 1):
-        row = [0] * k
-        for w in enumerate_3d_dyck(k):
-            row[duck_index(w)] += 1
-        rows.append(tuple(row))
+    prev = []
+    for x in range(kmax + 1):
+        # cur[y][z] = (counts of prefixes ending in X, counts of the others)
+        cur = []
+        for y in range(x + 1):
+            line = []
+            for z in range(y + 1):
+                # append X to (x-1, y, z); the empty prefix starts the count
+                after_x = [a + b for a, b in zip(*prev[y][z])] if y < x else zero
+                other = [1] + zero[1:] if x == 0 else zero
+                if z < y:  # append Y to (x, y-1, z)
+                    a, b = cur[y - 1][z]
+                    other = [o + p + q for o, p, q in zip(other, a, [0] + b)]
+                if z:  # append Z to (x, y, z-1)
+                    a, b = line[z - 1]
+                    other = [o + p + q for o, p, q in zip(other, a, b)]
+                line.append((after_x, other))
+            cur.append(line)
+        if x:
+            rows.append(tuple(cur[x][x][1][:x]))
+        prev = cur
     return CountTriangle(tuple(rows))
 
 
@@ -114,13 +163,15 @@ def underlined_triangle(
     312-avoiding configurations with k hooks on 3k-i points.
 
     method:
-      "transform"  binomial transform of the duck triangle (fast);
-      "enumerate"  direct generation of underlined words;
+      "transform"  binomial transform of the duck triangle (fast; bounded by
+                   TRANSFER_KMAX);
+      "enumerate"  direct generation of underlined words (bounded by limit);
       "brute_vhc"  exhaustive hook-configuration search (needs 3k-i within
                    the brute-force bound).
     """
+    _check_kmax(kmax)
     if method == "transform":
-        duck = duck_triangle(kmax, limit)
+        duck = duck_triangle(kmax)
         return CountTriangle(tuple(binomial_transform_row(r) for r in duck.rows))
     if method == "enumerate":
         _check_enum_limit(kmax, limit)
@@ -166,16 +217,16 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
 
-def f_poly(k: int, limit: int = DEFAULT_ENUM_LIMIT) -> IntPolynomial:
+def f_poly(k: int) -> IntPolynomial:
     """Generating polynomial of reduced-configuration counts by deficiency:
     the x^i coefficient counts reduced configurations on 3k-i points."""
-    row = underlined_triangle(k, "transform", limit).row(k)
+    row = underlined_triangle(k, "transform").row(k)
     return IntPolynomial(row)
 
 
-def h_poly(k: int, limit: int = DEFAULT_ENUM_LIMIT) -> IntPolynomial:
+def h_poly(k: int) -> IntPolynomial:
     """f_k shifted by -1; its coefficients are the duck counts."""
-    return f_poly(k, limit).shift(-1)
+    return f_poly(k).shift(-1)
 
 
 # --- tennis-ball numbers ---------------------------------------------------
@@ -257,7 +308,7 @@ def verify_identities(
     underlined words (identity 4) and process simulation (identity 8) are
     capped independently since they grow much faster than the rest.
     """
-    duck = duck_triangle(kmax, limit)
+    duck = duck_triangle(kmax)
     underlined = CountTriangle(tuple(binomial_transform_row(r) for r in duck.rows))
     checks: list[dict] = []
 

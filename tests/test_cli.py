@@ -3,6 +3,7 @@ import json
 import pytest
 
 from duckwords.cli import main
+from duckwords.counts import TRANSFER_KMAX
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
 FIG7_JSON = '{"perm":[3,2,1,5,6,4,8,9,7,10],"hooks":[[1,8],[2,4],[5,7],[8,10]]}'
@@ -36,19 +37,6 @@ def test_triangle_json(capsys):
     code, out = run(capsys, "triangle", "underlined", "--kmax", "2", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"kind": "underlined", "rows": [[1], [5, 3]]}
-
-
-def test_triangle_cache_hit(capsys, tmp_path):
-    args = ("triangle", "duck", "--kmax", "4", "--cache-dir", str(tmp_path))
-    _, first = run(capsys, *args)
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    # poison the cached payload to prove the second run reads the cache
-    blob = json.loads(files[0].read_text())
-    blob["payload"] = [[99]]
-    files[0].write_text(json.dumps(blob))
-    _, second = run(capsys, *args)
-    assert second.strip() == "99"
 
 
 def test_map_phi_inverse(capsys):
@@ -118,7 +106,18 @@ def test_count_missing_flag_exit_2(capsys):
 
 
 def test_resource_limit_exit_3(capsys):
-    assert main(["triangle", "duck", "--kmax", "9"]) == 3
+    assert main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"]) == 3
+    assert main(["triangle", "duck", "--kmax", str(TRANSFER_KMAX + 1)]) == 3
+
+
+def test_triangle_negative_kmax_exit_2(capsys):
+    code, out = run(capsys, "triangle", "duck", "--kmax", "-2")
+    assert (code, out) == (2, "")
+
+
+def test_triangle_duck_method_exit_2(capsys):
+    code, out = run(capsys, "triangle", "duck", "--kmax", "3", "--method", "enumerate")
+    assert (code, out) == (2, "")
 
 
 def test_verify_small(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from duckwords.counts import (
+    TRANSFER_KMAX,
     CountTriangle,
     IntPolynomial,
     binomial_transform_row,
@@ -56,7 +57,30 @@ def test_underlined_triangle_methods_agree():
 
 def test_enum_limit_raises():
     with pytest.raises(ResourceLimit):
-        duck_triangle(9)
+        underlined_triangle(9, "enumerate")
+    with pytest.raises(ResourceLimit):
+        duck_triangle(TRANSFER_KMAX + 1)
+
+
+def test_triangle_negative_kmax_raises():
+    with pytest.raises(InvalidInput):
+        duck_triangle(-1)
+    for method in ("transform", "enumerate", "brute_vhc"):
+        with pytest.raises(InvalidInput):
+            underlined_triangle(-1, method)
+    assert duck_triangle(0).rows == underlined_triangle(0).rows == ()
+
+
+def test_duck_triangle_closed_forms():
+    tri = duck_triangle(TRANSFER_KMAX)
+    assert tri.kmax == TRANSFER_KMAX >= 25
+    for k in range(1, TRANSFER_KMAX + 1):
+        row = tri.row(k)
+        assert sum(row) == catalan3d(k)
+        assert row[0] == catalan(k)
+        assert row[k - 1] == catalan(k) * catalan(k + 2) - catalan(k + 1) ** 2
+        if k >= 2:
+            assert row[1] == tennis_ball_weighted(k - 1, "closed_form")
 
 
 def test_int_polynomial():

@@ -1,6 +1,6 @@
 import pytest
 
-from duckwords.counts import catalan, catalan3d
+from duckwords.counts import catalan, catalan3d, duck_triangle
 from duckwords.errors import InvalidInput
 from duckwords.words import (
     RewrittenDuckWord,
@@ -65,11 +65,15 @@ def test_enumerate_3d_dyck_counts():
 
 
 def test_duck_census():
-    for k, row in DUCK_ROWS.items():
+    # the recurrence in duck_triangle against classifying every word
+    recurrence = duck_triangle(6)
+    for k in range(1, 7):
         census = [0] * k
         for w in enumerate_3d_dyck(k):
             census[duck_index(w)] += 1
-        assert tuple(census) == row
+        assert tuple(census) == recurrence.row(k)
+        if k in DUCK_ROWS:
+            assert tuple(census) == DUCK_ROWS[k]
 
 
 def test_underlined_text_roundtrip():
