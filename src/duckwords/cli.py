@@ -16,6 +16,7 @@ from .counts import (
     catalan3d,
     duck_triangle,
     load_golden_triangle,
+    tennis_ball_count,
     tennis_ball_weighted,
     underlined_triangle,
     verify_identities,
@@ -29,12 +30,13 @@ from .hooks import (
     red_vhc_count_brute,
     verify_eq1,
 )
-from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse, psi, tennis_lawns
+from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse, psi
 from .perms import enumerate_av312, format_permutation, parse_permutation
 from .render import render_svg, render_tikz
 from .words import (
     RewrittenDuckWord,
     UnderlinedDuckWord,
+    check_duck_range,
     decode,
     duck_index,
     enumerate_3d_dyck,
@@ -224,12 +226,11 @@ def _enumerated_items(args):
         return enumerate_3d_dyck(_require(args, "k"))
     if kind == "duck":
         k, i = _require(args, "k"), _require(args, "i")
+        check_duck_range(k, i)
         return (w for w in enumerate_3d_dyck(k) if duck_index(w) == i)
     if kind == "underlined":
         return (u.to_text() for u in enumerate_underlined(_require(args, "k"), _require(args, "i")))
-    if kind == "rewritten":
-        return (r.to_text() for r in enumerate_rewritten(_require(args, "k"), _require(args, "i")))
-    raise InvalidInput(f"unknown kind {kind!r}")
+    return (r.to_text() for r in enumerate_rewritten(_require(args, "k"), _require(args, "i")))
 
 
 def _require(args, name: str):
@@ -259,7 +260,7 @@ def cmd_count(args) -> int:
     elif kind == "vhc":
         value = count_vhcs(parse_permutation(_require(args, "perm")))
     elif kind == "tennis-lawns":
-        value = len(tennis_lawns(_require(args, "m")))
+        value = tennis_ball_count(_require(args, "m"))
     elif kind == "tennis-weighted":
         value = tennis_ball_weighted(_require(args, "m"), args.method or "simulate")
     else:
@@ -315,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_render)
 
-    for name, func in (("enumerate", cmd_enumerate), ("count", cmd_count)):
+    listed = ["av312", "vhc", "dyck", "3d-dyck", "duck", "underlined", "rewritten"]
+    counted = listed + ["redvhc", "tennis-lawns", "tennis-weighted", "catalan", "catalan3d"]
+    for name, func, kinds in (("enumerate", cmd_enumerate, listed),
+                              ("count", cmd_count, counted)):
         p = sub.add_parser(name)
-        p.add_argument(
-            "kind",
-            choices=["av312", "vhc", "redvhc", "dyck", "3d-dyck", "duck",
-                     "underlined", "rewritten", "tennis-lawns",
-                     "tennis-weighted", "catalan", "catalan3d"],
-        )
+        p.add_argument("kind", choices=kinds)
         p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--i", type=int)

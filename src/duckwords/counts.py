@@ -29,7 +29,7 @@ from pathlib import Path
 from .errors import InvalidInput, ResourceLimit
 from .hooks import DEFAULT_BRUTE_BOUND, red_vhc_count_brute
 from .maps import tennis_lawns
-from .words import enumerate_dyck, enumerate_underlined
+from .words import enumerate_underlined
 
 # Enumerations beyond this k are refused unless the caller raises the limit.
 DEFAULT_ENUM_LIMIT = 7
@@ -261,19 +261,36 @@ def tennis_ball_count(n: int) -> int:
     return len(tennis_lawns(n))
 
 
-def duck_k1_oracle(k: int, limit: int = 12) -> int:
+def duck_k1_oracle(k: int) -> int:
     """
     Independent count of duck words with exactly one Y not preceded by an X:
     over all Dyck words of length 2k, the number of ways to underline one of
     the U's past the first and circle one of the letters before it, i.e.
     the sum of the letter counts before each of U_2..U_k.
+
+    Counted by a recurrence over Dyck prefixes: the state (ups, downs)
+    holds the number of prefixes reaching it and the sum, over them, of the
+    letter counts before each U past the first.
     """
-    _check_enum_limit(k, limit)
-    total = 0
-    for w in enumerate_dyck(k):
-        u_positions = [p for p, ch in enumerate(w) if ch == "U"]
-        total += sum(u_positions[1:])
-    return total
+    if k < 0:
+        raise InvalidInput("k must be nonnegative")
+    # prev[d] = (prefixes, sum) at (u - 1, d); cur[d] the same at (u, d)
+    prev: list[tuple[int, int]] = []
+    for u in range(k + 1):
+        cur: list[tuple[int, int]] = []
+        for d in range(u + 1):
+            count, total = (1, 0) if u == d == 0 else (0, 0)
+            if d < u:  # append U_u, which has u - 1 + d letters before it
+                c, t = prev[d]
+                count += c
+                total += t + (c * (u - 1 + d) if u > 1 else 0)
+            if d:  # append a D
+                c, t = cur[d - 1]
+                count += c
+                total += t
+            cur.append((count, total))
+        prev = cur
+    return prev[k][1]
 
 
 # --- golden data -----------------------------------------------------------

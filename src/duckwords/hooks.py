@@ -10,6 +10,13 @@ that no plot point lies above a hook and hooks meet only at shared endpoint
 plot points.
 
 JSON form of a configuration: {"perm": [ints], "hooks": [[sw, ne], ...]}.
+
+Outside data becomes a HookConfig through `make_config` or `from_json`, which
+check the permutation (as `parse_permutation` does) and that every hook is an
+int pair (a, b) with 1 <= a < b <= n, pi_a < pi_b and a SW position of its
+own.  The package trusts a HookConfig to be well formed, so a bare
+`HookConfig(...)` is for values already checked.  Validity, conditions
+(i)-(iii), is a separate question for `check_valid`.
 """
 from __future__ import annotations
 
@@ -69,16 +76,27 @@ class HookConfig:
     def from_json(cls, text: str) -> "HookConfig":
         try:
             obj = json.loads(text)
-            perm = check_permutation(obj["perm"])
-            hooks = tuple(sorted((int(a), int(b)) for a, b in obj["hooks"]))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            perm, hooks = obj["perm"], obj["hooks"]
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise InvalidInput(f"bad hook configuration: {text!r}") from exc
-        return cls(perm, hooks)
+        return make_config(perm, hooks)
 
 
 def make_config(perm, hooks) -> HookConfig:
-    """Build a HookConfig with hooks in canonical (sw-sorted) order."""
-    return HookConfig(check_permutation(perm), tuple(sorted(tuple(h) for h in hooks)))
+    """A checked HookConfig, hooks in SW order; InvalidInput if ill formed."""
+    pi = check_permutation(perm)
+    try:
+        pairs = [(a, b) for a, b in hooks]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"hooks are not a list of pairs: {hooks!r}") from exc
+    for a, b in pairs:
+        if type(a) is not int or type(b) is not int or not 1 <= a < b <= len(pi):
+            raise InvalidInput(f"hook {(a, b)!r} is not an int pair with 1 <= a < b <= {len(pi)}")
+        if pi[a - 1] >= pi[b - 1]:
+            raise InvalidInput(f"hook {(a, b)} has SW endpoint above NE endpoint")
+    if len({a for a, _ in pairs}) != len(pairs):
+        raise InvalidInput("two hooks share a SW position")
+    return HookConfig(pi, tuple(sorted(pairs)))
 
 
 @dataclass(frozen=True)
@@ -86,18 +104,6 @@ class ValidityReport:
     valid: bool
     failed_condition: str  # "i", "ii", "iii", or "none"
     witness: tuple | None = None
-
-
-def _check_hooks_well_formed(c: HookConfig) -> None:
-    seen_sw = set()
-    for a, b in c.hooks:
-        if not (1 <= a < b <= c.n):
-            raise InvalidInput(f"hook {a, b} out of range for n={c.n}")
-        if c.value_at(a) >= c.value_at(b):
-            raise InvalidInput(f"hook {a, b} has SW endpoint above NE endpoint")
-        if a in seen_sw:
-            raise InvalidInput(f"two hooks share SW position {a}")
-        seen_sw.add(a)
 
 
 # A segment is ((x1, y1), (x2, y2)) with x1 <= x2, y1 <= y2, axis-aligned.
@@ -166,7 +172,6 @@ def _hook_pair_conflict(c: HookConfig, h1: Hook, h2: Hook):
 
 def check_valid(c: HookConfig) -> ValidityReport:
     """Check conditions (i)-(iii) of the valid hook configuration definition."""
-    _check_hooks_well_formed(c)
     dt = descent_table(c.perm)
     tops = {i for i, _ in dt.descents}
     sw = c.sw_positions()
@@ -185,17 +190,32 @@ def check_valid(c: HookConfig) -> ValidityReport:
     return ValidityReport(True, "none")
 
 
-def is_valid(c: HookConfig) -> bool:
-    return check_valid(c).valid
+def require_valid(c: HookConfig) -> None:
+    """Raise InvalidInput unless c satisfies conditions (i)-(iii)."""
+    report = check_valid(c)
+    if not report.valid:
+        raise InvalidInput(f"configuration is not valid (condition {report.failed_condition})")
+
+
+def _covers_all(c: HookConfig) -> bool:
+    # the reduced predicate, for a configuration already known to be valid
+    keep = c.endpoint_positions() | {j for _, j in descent_table(c.perm).descents}
+    return len(keep) == c.n
 
 
 def is_reduced(c: HookConfig) -> bool:
     """True iff every plot point is a hook endpoint or a descent bottom."""
-    report = check_valid(c)
-    if not report.valid:
-        raise InvalidInput(f"configuration is not valid (condition {report.failed_condition})")
-    keep = c.endpoint_positions() | {j for _, j in descent_table(c.perm).descents}
-    return len(keep) == c.n
+    require_valid(c)
+    return _covers_all(c)
+
+
+def require_reduced_312(c: HookConfig) -> None:
+    """Raise InvalidInput unless c is valid, reduced and 312-avoiding."""
+    require_valid(c)
+    if not avoids_312(c.perm):
+        raise InvalidInput("permutation contains a 312 pattern")
+    if not _covers_all(c):
+        raise InvalidInput("configuration is not reduced")
 
 
 def _ne_candidates(pi: Permutation, top: int) -> list[int]:
@@ -249,9 +269,7 @@ def reduce_config(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
     Returns the reduced configuration and the set of removed positions
     (positions in the input).  312-avoidance is preserved.
     """
-    report = check_valid(c)
-    if not report.valid:
-        raise InvalidInput(f"configuration is not valid (condition {report.failed_condition})")
+    require_valid(c)
     keep = sorted(c.endpoint_positions() | {j for _, j in descent_table(c.perm).descents})
     removed = frozenset(range(1, c.n + 1)) - frozenset(keep)
     newpos = {old: i for i, old in enumerate(keep, start=1)}
@@ -266,8 +284,9 @@ def hooks_projection(c: HookConfig) -> str:
     right, each SW endpoint contributes U and each NE endpoint contributes D;
     matched U/D pairs are the hooks.
     """
-    if c.n != 3 * c.k or not avoids_312(c.perm) or not is_reduced(c):
-        raise InvalidInput("expected a reduced 312-avoiding configuration with 3k points")
+    if c.n != 3 * c.k:
+        raise InvalidInput(f"expected 3k points, got n={c.n} with k={c.k} hooks")
+    require_reduced_312(c)
     sw, ne = c.sw_positions(), c.ne_positions()
     return "".join(
         "U" if p in sw else "D" for p in range(1, c.n + 1) if p in sw or p in ne
@@ -280,7 +299,7 @@ def count_vhcs(pi: Permutation) -> int:
 
 def reduced_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     for c in enumerate_vhcs(pi):
-        if is_reduced(c):
+        if _covers_all(c):
             yield c
 
 

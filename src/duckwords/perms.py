@@ -37,25 +37,23 @@ def is_permutation(seq: Sequence[int]) -> bool:
 
 
 def check_permutation(seq: Sequence[int]) -> Permutation:
-    if not is_permutation(seq):
+    """seq as a tuple, if it holds the ints 1..n (not bools or floats)."""
+    try:
+        pi = tuple(seq)
+    except TypeError as exc:
+        raise InvalidInput(f"not a permutation of [n]: {seq!r}") from exc
+    if any(type(v) is not int for v in pi) or not is_permutation(pi):
         raise InvalidInput(f"not a permutation of [n]: {seq!r}")
-    return tuple(seq)
+    return pi
 
 
 def parse_permutation(text: str) -> Permutation:
     """Parse space-separated one-line notation, or a digit string for n <= 9."""
     text = text.strip()
-    if not text:
-        return ()
-    if " " in text:
-        try:
-            entries = [int(tok) for tok in text.split()]
-        except ValueError as exc:
-            raise InvalidInput(f"bad permutation text: {text!r}") from exc
-    else:
-        if not text.isdigit():
-            raise InvalidInput(f"bad permutation text: {text!r}")
-        entries = [int(ch) for ch in text]
+    try:
+        entries = [int(tok) for tok in (text.split() if " " in text else text)]
+    except ValueError as exc:
+        raise InvalidInput(f"bad permutation text: {text!r}") from exc
     return check_permutation(entries)
 
 
@@ -76,10 +74,6 @@ class DescentTable:
     top_heights: tuple[int, ...]
     bottom_heights: tuple[int, ...]
     bottom_height_set: frozenset[int]
-
-    def bottom_heights_from(self, i: int) -> frozenset[int]:
-        """Bottom heights of the i-th and later descents (1-based i)."""
-        return frozenset(self.bottom_heights[i - 1:])
 
 
 def descent_table(pi: Permutation) -> DescentTable:

@@ -11,6 +11,9 @@ Text formats:
     multiplicity: "UUD(U)DuD", "((U))DUD".
 
 Positions are 1-based everywhere.
+
+Text becomes a word through the `parse` methods.  As the dataclasses can also
+be built directly, `rewrite` and `decode` check their input, not their output.
 """
 from __future__ import annotations
 
@@ -141,6 +144,8 @@ class UnderlinedDuckWord:
 
     @classmethod
     def parse(cls, text: str) -> "UnderlinedDuckWord":
+        if not set(text) <= set("XYZy"):
+            raise InvalidInput(f"not an underlined duck word: {text!r}")
         word = text.upper()
         underlines = frozenset(p for p, ch in enumerate(text, start=1) if ch == "y")
         u = cls(word, underlines)
@@ -173,10 +178,15 @@ def underline_all(w: str) -> UnderlinedDuckWord:
     return UnderlinedDuckWord(w, frozenset(non_x_preceded_ys(w)))
 
 
-def enumerate_underlined(k: int, i: int) -> Iterator[UnderlinedDuckWord]:
-    """All (k, i)-underlined duck words, ordered by word then underline set."""
+def check_duck_range(k: int, i: int) -> None:
+    """Raise InvalidInput unless 0 <= i <= k-1 (or i = 0 when k = 0)."""
     if not 0 <= i <= max(k - 1, 0):
         raise InvalidInput(f"need 0 <= i <= k-1, got k={k}, i={i}")
+
+
+def enumerate_underlined(k: int, i: int) -> Iterator[UnderlinedDuckWord]:
+    """All (k, i)-underlined duck words, ordered by word then underline set."""
+    check_duck_range(k, i)
     for w in enumerate_3d_dyck(k):
         eligible = non_x_preceded_ys(w)
         for combo in itertools.combinations(eligible, i):
@@ -259,11 +269,9 @@ def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
     The encoding is only information-preserving when every non-X-preceded Y
     is underlined, so that is required of the input.
     """
-    if not validate_underlined(u):
-        raise InvalidInput("not a valid underlined duck word")
-    if set(u.underlines) != set(non_x_preceded_ys(u.word)):
+    if not is_3d_dyck(u.word) or set(u.underlines) != set(non_x_preceded_ys(u.word)):
         raise InvalidInput(
-            "rewrite needs the canonical underlined form "
+            "rewrite needs a duck word in canonical underlined form "
             "(every non-X-preceded Y underlined)"
         )
     consumed = set()
@@ -279,14 +287,10 @@ def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
             pending += 1
             continue
         letters.append("U" if ch == "Y" else "D")
-        if pending and p in u.underlines:
-            raise InvalidInput("circle would land on an underlined letter")
         circles.append(pending)
         flags.append(p in u.underlines)
         pending = 0
-    r = RewrittenDuckWord("".join(letters), tuple(circles), tuple(flags))
-    check_rewritten(r)
-    return r
+    return RewrittenDuckWord("".join(letters), tuple(circles), tuple(flags))
 
 
 def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
@@ -305,10 +309,7 @@ def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
         out.append("Y" if ch == "U" else "Z")
         if under:
             underlines.append(len(out))
-    u = UnderlinedDuckWord("".join(out), frozenset(underlines))
-    if not validate_underlined(u):
-        raise InvalidInput("decoded word is not an underlined duck word")
-    return u
+    return UnderlinedDuckWord("".join(out), frozenset(underlines))
 
 
 def rewrite_duck_word(w: str) -> RewrittenDuckWord:
@@ -323,8 +324,7 @@ def enumerate_rewritten(k: int, i: int) -> Iterator[RewrittenDuckWord]:
     non-underlined letters, with every prefix having at least as many
     circles as underlines.
     """
-    if not 0 <= i <= max(k - 1, 0):
-        raise InvalidInput(f"need 0 <= i <= k-1, got k={k}, i={i}")
+    check_duck_range(k, i)
     for word in enumerate_dyck(k):
         u_positions = [p for p, ch in enumerate(word) if ch == "U"]
         for under_combo in itertools.combinations(u_positions, i):

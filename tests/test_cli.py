@@ -70,6 +70,20 @@ def test_map_malformed_input_exit_2(capsys):
     assert main(["map", "phi", "not json"]) == 2
 
 
+def test_malformed_config_exit_2(capsys):
+    # hooks out of range and non-int entries are usage errors, not crashes or
+    # drawings off the canvas
+    for argv in (
+        ["render", '{"perm":[2,1,3],"hooks":[[1,5]]}'],
+        ["render", '{"perm":[2,1,3],"hooks":[[0,3]]}'],
+        ["render", '{"perm":[true,2],"hooks":[]}'],
+        ["map", "phi-prime", '{"perm":[2.0,1,3],"hooks":[[1,3]]}'],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_render_svg_structure(capsys):
     config = '{"perm":[3,2,1,5,6,4,7],"hooks":[[1,5],[2,4],[5,7]]}'
     code, out = run(capsys, "render", config)
@@ -105,6 +119,39 @@ def test_count_missing_flag_exit_2(capsys):
     assert main(["count", "dyck"]) == 2
 
 
+def test_enumerate_offers_only_listable_kinds(capsys):
+    for kind in ("catalan", "catalan3d", "redvhc", "tennis-lawns", "tennis-weighted"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", kind, "--k", "3"])
+        assert exc.value.code == 2
+    code, out = run(capsys, "count", "catalan", "--k", "3")
+    assert (code, out.strip()) == (0, "5")
+
+
+def test_duck_index_out_of_range_exit_2(capsys):
+    for command in ("enumerate", "count"):
+        for i in ("-1", "3"):
+            code, out = run(capsys, command, "duck", "--k", "3", "--i", i)
+            assert (code, out) == (2, "")
+    code, out = run(capsys, "count", "duck", "--k", "3", "--i", "2")
+    assert (code, out.strip()) == (0, "14")
+
+
+def test_tennis_lawns_count_bounded(capsys):
+    code, out = run(capsys, "count", "tennis-lawns", "--m", "5")
+    assert (code, out.strip()) == (0, "132")
+    assert main(["count", "tennis-lawns", "--m", "9"]) == 3
+
+
+def test_map_psi(capsys):
+    # twelve rounds: far too many lawns to list them all
+    lawn = ",".join(str(b) for b in range(1, 13))
+    code, out = run(capsys, "map", "psi", lawn)
+    assert (code, out.strip()) == (0, "U" + "U" * 12 + "D" * 12 + "D")
+    assert main(["map", "psi", "13,14"]) == 2
+    assert main(["map", "psi", "3,4"]) == 2
+
+
 def test_resource_limit_exit_3(capsys):
     assert main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"]) == 3
     assert main(["triangle", "duck", "--kmax", str(TRANSFER_KMAX + 1)]) == 3
@@ -129,6 +176,14 @@ def test_verify_small(capsys, tmp_path):
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["all_pass"]
+
+
+def test_verify_to_transfer_kmax(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    code = main(["verify", "--kmax", str(TRANSFER_KMAX), "--eq1-max", "2",
+                 "--roundtrip-max", "1", "--out", str(out_file)])
+    assert code == 0
+    assert json.loads(out_file.read_text())["all_pass"]
 
 
 def test_verify_corrupted_golden_exit_1(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from duckwords.counts import (
+    SIMULATE_ROUNDS_LIMIT,
     TRANSFER_KMAX,
     CountTriangle,
     IntPolynomial,
@@ -18,6 +19,7 @@ from duckwords.counts import (
     verify_identities,
 )
 from duckwords.errors import InvalidInput, ResourceLimit
+from duckwords.words import enumerate_dyck
 
 
 def test_catalan():
@@ -111,6 +113,8 @@ def test_tennis_ball_weighted():
 
 def test_tennis_ball_count():
     assert [tennis_ball_count(n) for n in range(6)] == [1, 2, 5, 14, 42, 132]
+    with pytest.raises(ResourceLimit):
+        tennis_ball_count(SIMULATE_ROUNDS_LIMIT + 1)
 
 
 def test_duck_k1_oracle():
@@ -119,6 +123,14 @@ def test_duck_k1_oracle():
     assert duck_k1_oracle(5) == 664
     for k in range(2, 7):
         assert duck_k1_oracle(k) == duck_triangle(k).row(k)[1]
+    # the recurrence against its definition, summed over every Dyck word
+    for k in range(11):
+        total = 0
+        for w in enumerate_dyck(k):
+            u_positions = [p for p, ch in enumerate(w) if ch == "U"]
+            total += sum(u_positions[1:])
+        assert duck_k1_oracle(k) == total
+    for k in range(2, TRANSFER_KMAX + 1):
         assert duck_k1_oracle(k) == tennis_ball_weighted(k - 1)
 
 

@@ -9,7 +9,6 @@ from duckwords.hooks import (
     enumerate_vhcs,
     hooks_projection,
     is_reduced,
-    is_valid,
     make_config,
     red_vhc_count_brute,
     reduce_config,
@@ -49,6 +48,26 @@ def test_known_valid_configs():
 def test_known_invalid_configs():
     for perm, hooks in INVALID:
         assert rejected(perm, hooks)
+
+
+def test_make_config_rejects_ill_formed_hooks():
+    for hooks in (
+        [(1, 5)],          # NE beyond n
+        [(0, 3)],          # SW before position 1
+        [(3, 1)],          # SW right of NE
+        [(2, 3), (2, 3)],  # shared SW
+        [(1, 2)],          # SW above NE
+        [(1.0, 3)],        # not ints
+        [(True, 3)],
+        [(1, 2, 3)],       # not a pair
+        [5],
+    ):
+        with pytest.raises(InvalidInput):
+            make_config((2, 1, 3), hooks)
+    for text in ('{"perm":[2,1,3],"hooks":[[1,5]]}', '{"perm":[2,1,3],"hooks":7}',
+                 '{"perm":[2,1,3]}', "[" * 100000):
+        with pytest.raises(InvalidInput):
+            HookConfig.from_json(text)
 
 
 def test_condition_i_wrong_sw():
@@ -113,9 +132,9 @@ def test_hooks_projection_unique_k1():
     assert hooks_projection(c) == "UD"
 
 
-def test_hooks_projection_surjects_onto_dyck():
+def test_hooks_projection_surjects_onto_dyck(maximal_configs):
     for k in range(1, 5):
-        images = {hooks_projection(c) for c in enumerate_red_vhcs_av312(3 * k, k)}
+        images = {hooks_projection(c) for c in maximal_configs[k - 1]}
         assert images == set(enumerate_dyck(k))
 
 

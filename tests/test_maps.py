@@ -1,12 +1,13 @@
+import itertools
+
 import pytest
 
 from duckwords.counts import catalan
 from duckwords.errors import InvalidInput
-from duckwords.hooks import enumerate_red_vhcs_av312, is_reduced, make_config
+from duckwords.hooks import hooks_projection, is_reduced, make_config, reduce_config
 from duckwords.maps import (
     contract,
     expand,
-    height_classification,
     phi,
     phi_inverse,
     phi_prime,
@@ -43,13 +44,14 @@ def test_phi_unique_k1():
 
 
 def test_height_classification_partitions():
-    word = height_classification(FIG5_CONFIG)
+    # phi labels each height X, Y or Z by the role of its point
+    word = phi(FIG5_CONFIG)
     assert sorted(word) == sorted(FIG5_WORD)
 
 
-def test_phi_roundtrip_exhaustive():
+def test_phi_roundtrip_exhaustive(maximal_configs):
     for k in range(1, 5):
-        configs = list(enumerate_red_vhcs_av312(3 * k, k))
+        configs = maximal_configs[k - 1]
         words = list(enumerate_3d_dyck(k))
         assert len(configs) == len(words)
         assert {phi(c) for c in configs} == set(words)
@@ -62,6 +64,24 @@ def test_phi_roundtrip_exhaustive():
 def test_phi_rejects_unreduced():
     with pytest.raises(InvalidInput):
         phi(make_config((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)]))
+
+
+INVALID_CONFIG = make_config((2, 1, 4, 3, 5), [(1, 4), (3, 5)])       # point above a hook
+UNREDUCED_CONFIG = make_config((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)])
+CONTAINS_312_CONFIG = make_config((3, 1, 4, 2, 5, 6), [(1, 6), (3, 5)])  # reduced, 3k points
+
+
+def test_maps_reject_configs_outside_their_domain():
+    for c in (INVALID_CONFIG, UNREDUCED_CONFIG, CONTAINS_312_CONFIG):
+        for f in (phi, phi_prime, expand, hooks_projection):
+            with pytest.raises(InvalidInput):
+                f(c)
+    for f in (is_reduced, reduce_config):
+        with pytest.raises(InvalidInput):
+            f(INVALID_CONFIG)
+    with pytest.raises(InvalidInput):
+        contract(INVALID_CONFIG, frozenset())
+    assert is_reduced(CONTAINS_312_CONFIG) and not is_reduced(UNREDUCED_CONFIG)
 
 
 def test_expand_known_value():
@@ -114,3 +134,23 @@ def test_psi_injective():
     for m in range(1, 6):
         lawns = tennis_lawns(m)
         assert len({psi(lawn, m) for lawn in lawns}) == len(lawns)
+
+
+def test_psi_accepts_exactly_the_reachable_lawns():
+    # psi's Dyck-word test against the simulated process, over every set of
+    # m balls from 1..2m
+    for m in range(9):
+        accepted = set()
+        for lawn in itertools.combinations(range(1, 2 * m + 1), m):
+            try:
+                psi(lawn, m)
+            except InvalidInput:
+                continue
+            accepted.add(frozenset(lawn))
+        assert accepted == tennis_lawns(m)
+
+
+def test_psi_rejects_balls_out_of_range():
+    for lawn, m in (({0}, 1), ({3}, 1), ({1, 5}, 1), ({1}, -1)):
+        with pytest.raises(InvalidInput):
+            psi(lawn, m)

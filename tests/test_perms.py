@@ -30,7 +30,7 @@ def test_normalize_rejects_ties():
 
 def test_check_permutation():
     assert check_permutation([2, 1, 3]) == (2, 1, 3)
-    for bad in ([0, 1], [1, 3], [1, 1]):
+    for bad in ([0, 1], [1, 3], [1, 1], [True, 2], [2.0, 1], ["1"], 5):
         with pytest.raises(InvalidInput):
             check_permutation(bad)
 
@@ -41,8 +41,9 @@ def test_parse_and_format():
     assert format_permutation((3, 2, 4, 1)) == "3 2 4 1"
     assert parse_permutation(format_permutation((10, 2, 1, 3, 4, 5, 6, 7, 8, 9))) == (
         10, 2, 1, 3, 4, 5, 6, 7, 8, 9)
-    with pytest.raises(InvalidInput):
-        parse_permutation("1 2 x")
+    for bad in ("1 2 x", "\u00b2", "1 2 3.0"):
+        with pytest.raises(InvalidInput):
+            parse_permutation(bad)
 
 
 def test_descent_table():

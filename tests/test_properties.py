@@ -1,0 +1,151 @@
+"""
+Property and fuzz tests: the bijections on random words, the boundary
+checks of make_config on random malformed input, and the CLI on random JSON.
+"""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duckwords.cli import main
+from duckwords.errors import InvalidInput
+from duckwords.hooks import make_config
+from duckwords.maps import phi, phi_inverse, phi_prime, phi_prime_inverse
+from duckwords.words import (
+    UnderlinedDuckWord,
+    decode,
+    non_x_preceded_ys,
+    rewrite,
+    underline_all,
+)
+
+KMAX = 30
+ROUNDTRIPS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def dyck3_words(draw, kmax=KMAX):
+    """A 3D-Dyck word of length 3k, k <= kmax, one legal letter at a time."""
+    k = draw(st.integers(0, kmax))
+    x = y = z = 0
+    out = []
+    while z < k:
+        legal = [ch for ch, ok in (("X", x < k), ("Y", y < x), ("Z", z < y)) if ok]
+        ch = draw(st.sampled_from(legal))
+        x, y, z = x + (ch == "X"), y + (ch == "Y"), z + (ch == "Z")
+        out.append(ch)
+    return "".join(out)
+
+
+@st.composite
+def underlined_words(draw):
+    w = draw(dyck3_words())
+    eligible = non_x_preceded_ys(w)
+    marks = draw(st.sets(st.sampled_from(eligible))) if eligible else set()
+    return UnderlinedDuckWord(w, frozenset(marks))
+
+
+@ROUNDTRIPS
+@given(dyck3_words())
+def test_phi_roundtrip_random(w):
+    c = phi_inverse(w)
+    assert c.n == 3 * c.k
+    assert phi(c) == w
+    assert phi_inverse(phi(c)) == c
+
+
+@ROUNDTRIPS
+@given(underlined_words())
+def test_phi_prime_roundtrip_random(u):
+    c = phi_prime_inverse(u)
+    assert c.n == 3 * u.k - u.i
+    assert phi_prime(c) == u
+    assert phi_prime_inverse(phi_prime(c)) == c
+
+
+@ROUNDTRIPS
+@given(dyck3_words())
+def test_rewrite_decode_roundtrip_random(w):
+    u = underline_all(w)
+    r = rewrite(u)
+    assert r.i == u.i
+    assert decode(r) == u
+
+
+# --- make_config on random malformed input ----------------------------------
+
+entries = st.one_of(st.integers(-2, 8), st.booleans(), st.floats(-2, 8), st.text(max_size=1))
+
+
+def well_formed_hooks(perm, hooks) -> bool:
+    """Reference predicate: int pairs 1 <= a < b <= n, pi_a < pi_b, distinct SW."""
+    n = len(perm)
+    for h in hooks:
+        if not (isinstance(h, list) and len(h) == 2 and all(type(e) is int for e in h)):
+            return False
+        a, b = h
+        if not (1 <= a < b <= n and perm[a - 1] < perm[b - 1]):
+            return False
+    return len({h[0] for h in hooks}) == len(hooks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, max_size=7))
+def test_make_config_rejects_malformed_perms(perm):
+    is_perm = all(type(v) is int for v in perm) and sorted(perm) == list(range(1, len(perm) + 1))
+    if is_perm:
+        assert make_config(perm, []).perm == tuple(perm)
+    else:
+        with pytest.raises(InvalidInput):
+            make_config(perm, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(range(1, 7)), st.lists(st.lists(entries, min_size=1, max_size=3), max_size=4))
+def test_make_config_rejects_malformed_hooks(perm, hooks):
+    if well_formed_hooks(perm, hooks):
+        c = make_config(perm, hooks)
+        assert sorted(c.hooks) == sorted(tuple(h) for h in hooks)
+    else:
+        with pytest.raises(InvalidInput):
+            make_config(perm, hooks)
+
+
+# --- CLI fuzz ---------------------------------------------------------------
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=12,
+)
+hook_pairs = st.lists(st.lists(st.integers(-1, 8), min_size=2, max_size=2), max_size=4)
+configs = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"perm": st.permutations(range(1, 8)) | json_values,
+                           "hooks": hook_pairs | json_values}),
+)
+
+
+COMMANDS = [
+    (["render"], []),
+    (["render"], ["--format", "tikz", "--labels"]),
+    (["map", "phi"], ["--roundtrip"]),
+    (["map", "phi-prime"], ["--roundtrip"]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs, st.sampled_from(COMMANDS))
+def test_cli_json_fuzz(obj, command):
+    head, tail = command
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(head + [json.dumps(obj)] + tail)
+        except SystemExit as exc:  # argparse takes text such as "-1" for an option
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -81,6 +81,9 @@ def test_underlined_text_roundtrip():
     assert u.to_text() == "XXYyXZYXZZyZ"
     assert UnderlinedDuckWord.parse("XXYyXZYXZZyZ") == u
     assert u.k == 4 and u.i == 2
+    for bad in ("xYZ", "XYz", "XXYyZz", "XY Z"):
+        with pytest.raises(InvalidInput):
+            UnderlinedDuckWord.parse(bad)
 
 
 def test_validate_underlined():
