@@ -55,8 +55,11 @@ EXIT_RESOURCE = 3
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 

@@ -36,18 +36,26 @@ DEFAULT_ENUM_LIMIT = 7
 # duck_triangle refuses rows beyond this k; the recurrence takes about a
 # second to reach it.
 TRANSFER_KMAX = 50
+# catalan and catalan3d refuse k beyond this: both values stay under
+# Python's 4,300-digit limit for printing an int.
+CATALAN_KMAX = 2000
+
+
+def _check_catalan_k(k: int) -> None:
+    if k < 0:
+        raise InvalidInput("k must be nonnegative")
+    if k > CATALAN_KMAX:
+        raise ResourceLimit(f"k={k} exceeds limit {CATALAN_KMAX}")
 
 
 def catalan(k: int) -> int:
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
+    _check_catalan_k(k)
     return comb(2 * k, k) // (k + 1)
 
 
 def catalan3d(k: int) -> int:
     """2 (3k)! / (k! (k+1)! (k+2)!), the number of 3D-Dyck words of length 3k."""
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
+    _check_catalan_k(k)
     num = 2 * factorial(3 * k)
     den = factorial(k) * factorial(k + 1) * factorial(k + 2)
     q, r = divmod(num, den)

@@ -5,9 +5,19 @@ enumeration over 312-avoiding permutations.
 A hook on pi is a pair (a, b) of positions with a < b and pi[a-1] < pi[b-1].
 Geometrically it is the L-shaped polyline running from the plot point
 (a, pi_a) straight up to (a, pi_b) and then right to (b, pi_b).  A valid
-hook configuration (VHC) places exactly one hook on every descent top such
-that no plot point lies above a hook and hooks meet only at shared endpoint
-plot points.
+hook configuration (VHC) places exactly one hook on every descent top (i)
+such that no plot point lies above a hook (ii) and hooks meet only at shared
+endpoint plot points (iii).
+
+Condition (iii) is decided on positions alone.  Take two hooks that satisfy
+(ii), (a1, b1) and (a2, b2) with a1 < a2; they violate (iii) exactly when
+a2 < b1 <= b2.  If b1 <= a2 the second hook lies right of the first and can
+meet it only at the plot point b1 = a2.  Otherwise a2 is inside the first
+hook, so (ii) puts pi_a2 below its horizontal at height pi_b1, and:
+b2 < b1 nests the second hook under that horizontal (also by (ii)); b2 = b1
+makes the two horizontals overlap; and b1 < b2 puts b1 inside the second
+hook, so (ii) gives pi_b2 > pi_b1 and the second vertical crosses the first
+horizontal at (a2, pi_b1), which is not a plot point.
 
 JSON form of a configuration: {"perm": [ints], "hooks": [[sw, ne], ...]}.
 
@@ -106,74 +116,12 @@ class ValidityReport:
     witness: tuple | None = None
 
 
-# A segment is ((x1, y1), (x2, y2)) with x1 <= x2, y1 <= y2, axis-aligned.
-
-
-def _segments(c: HookConfig, hook: Hook):
-    a, b = hook
-    ya, yb = c.value_at(a), c.value_at(b)
-    vertical = ((a, ya), (a, yb))
-    horizontal = ((a, yb), (b, yb))
-    return vertical, horizontal
-
-
-def _intersect(s1, s2):
-    """Intersection of two axis-aligned integer segments.
-
-    Returns None, ("point", (x, y)) or ("overlap",).
-    """
-    (ax1, ay1), (ax2, ay2) = s1
-    (bx1, by1), (bx2, by2) = s2
-    v1, v2 = ax1 == ax2, bx1 == bx2
-    if v1 and v2:
-        if ax1 != bx1:
-            return None
-        lo, hi = max(ay1, by1), min(ay2, by2)
-        if lo > hi:
-            return None
-        return ("point", (ax1, lo)) if lo == hi else ("overlap",)
-    if not v1 and not v2:
-        if ay1 != by1:
-            return None
-        lo, hi = max(ax1, bx1), min(ax2, bx2)
-        if lo > hi:
-            return None
-        return ("point", (lo, ay1)) if lo == hi else ("overlap",)
-    if v2:  # make s1 the vertical one
-        s1, s2 = s2, s1
-        (ax1, ay1), (ax2, ay2) = s1
-        (bx1, by1), (bx2, by2) = s2
-    if bx1 <= ax1 <= bx2 and ay1 <= by1 <= ay2:
-        return ("point", (ax1, by1))
-    return None
-
-
-def _hook_pair_conflict(c: HookConfig, h1: Hook, h2: Hook):
-    """Offending intersection of two hooks, or None if they are compatible.
-
-    Allowed intersections are single points that are plot points and
-    endpoints of both hooks; anything else (interior crossings, touching a
-    corner, collinear overlap) is a condition (iii) failure.
-    """
-    ends1 = {(p, c.value_at(p)) for p in h1}
-    ends2 = {(p, c.value_at(p)) for p in h2}
-    shared = ends1 & ends2
-    for s1 in _segments(c, h1):
-        for s2 in _segments(c, h2):
-            hit = _intersect(s1, s2)
-            if hit is None:
-                continue
-            if hit[0] == "overlap":
-                return ("overlap", h1, h2)
-            if hit[1] not in shared:
-                return ("point", hit[1], h1, h2)
-    return None
-
-
 def check_valid(c: HookConfig) -> ValidityReport:
-    """Check conditions (i)-(iii) of the valid hook configuration definition."""
-    dt = descent_table(c.perm)
-    tops = {i for i, _ in dt.descents}
+    """Check conditions (i)-(iii) of the valid hook configuration definition.
+
+    A condition (iii) witness is the crossing pair of hooks, in SW order.
+    """
+    tops = {i for i, _ in descent_table(c.perm)}
     sw = c.sw_positions()
     if sw != tops:
         return ValidityReport(False, "i", (tuple(sorted(sw)), tuple(sorted(tops))))
@@ -182,11 +130,11 @@ def check_valid(c: HookConfig) -> ValidityReport:
         for l in range(a + 1, b):
             if c.value_at(l) > yb:
                 return ValidityReport(False, "ii", ((a, b), (l, c.value_at(l))))
-    for idx, h1 in enumerate(c.hooks):
-        for h2 in c.hooks[idx + 1:]:
-            conflict = _hook_pair_conflict(c, h1, h2)
-            if conflict is not None:
-                return ValidityReport(False, "iii", conflict)
+    hooks = sorted(c.hooks)
+    for idx, (a1, b1) in enumerate(hooks):
+        for a2, b2 in hooks[idx + 1:]:
+            if a2 < b1 <= b2:
+                return ValidityReport(False, "iii", ((a1, b1), (a2, b2)))
     return ValidityReport(True, "none")
 
 
@@ -199,7 +147,7 @@ def require_valid(c: HookConfig) -> None:
 
 def _covers_all(c: HookConfig) -> bool:
     # the reduced predicate, for a configuration already known to be valid
-    keep = c.endpoint_positions() | {j for _, j in descent_table(c.perm).descents}
+    keep = c.endpoint_positions() | {j for _, j in descent_table(c.perm)}
     return len(keep) == c.n
 
 
@@ -236,25 +184,23 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     All valid hook configurations on pi, ordered lexicographically by the
     vector of NE positions.
 
-    Backtracks over NE choices per descent top; per-hook condition (ii) is
-    folded into the candidate lists and condition (iii) is checked pairwise
-    as hooks are added.
+    Backtracks over NE choices per descent top, left to right; per-hook
+    condition (ii) is folded into the candidate lists and condition (iii)
+    is the crossing rule against the hooks already chosen.
     """
-    dt = descent_table(pi)
-    tops = [i for i, _ in dt.descents]
+    tops = [i for i, _ in descent_table(pi)]
     candidates = [_ne_candidates(pi, t) for t in tops]
     chosen: list[Hook] = []
-    base = HookConfig(pi, ())
 
     def walk(idx: int) -> Iterator[HookConfig]:
         if idx == len(tops):
             yield HookConfig(pi, tuple(chosen))
             return
-        for j in candidates[idx]:
-            hook = (tops[idx], j)
-            if any(_hook_pair_conflict(base, h, hook) for h in chosen):
+        a2 = tops[idx]
+        for b2 in candidates[idx]:
+            if any(a2 < b1 <= b2 for _, b1 in chosen):
                 continue
-            chosen.append(hook)
+            chosen.append((a2, b2))
             yield from walk(idx + 1)
             chosen.pop()
 
@@ -270,7 +216,7 @@ def reduce_config(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
     (positions in the input).  312-avoidance is preserved.
     """
     require_valid(c)
-    keep = sorted(c.endpoint_positions() | {j for _, j in descent_table(c.perm).descents})
+    keep = sorted(c.endpoint_positions() | {j for _, j in descent_table(c.perm)})
     removed = frozenset(range(1, c.n + 1)) - frozenset(keep)
     newpos = {old: i for i, old in enumerate(keep, start=1)}
     perm = normalize([c.value_at(p) for p in keep])

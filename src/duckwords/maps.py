@@ -37,7 +37,7 @@ def _phi(c: HookConfig) -> str:
     # X for a descent bottom, Y for a SW and Z for a NE endpoint; a reduced
     # configuration on 3k points gives each point exactly one of these roles.
     labels = [""] * c.n
-    for _, j in descent_table(c.perm).descents:
+    for _, j in descent_table(c.perm):
         labels[c.value_at(j) - 1] = "X"
     for a, b in c.hooks:
         labels[c.value_at(a) - 1] = "Y"

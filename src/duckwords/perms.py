@@ -11,7 +11,6 @@ digit string ("3215647") is also accepted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InvalidInput
@@ -61,28 +60,13 @@ def format_permutation(pi: Permutation) -> str:
     return " ".join(str(v) for v in pi)
 
 
-@dataclass(frozen=True)
-class DescentTable:
-    """Descents of a permutation, in increasing position order.
+def descent_table(pi: Permutation) -> tuple[tuple[int, int], ...]:
+    """The (top, bottom) position pairs of the descents of pi, left to right.
 
-    descents[j] is the (top_index, bottom_index) pair of the (j+1)-st descent;
-    top_heights and bottom_heights are the corresponding values, and
-    bottom_height_set is BH, the set of all descent-bottom values.
+    >>> descent_table((3, 2, 4, 1, 5))
+    ((1, 2), (3, 4))
     """
-
-    descents: tuple[tuple[int, int], ...]
-    top_heights: tuple[int, ...]
-    bottom_heights: tuple[int, ...]
-    bottom_height_set: frozenset[int]
-
-
-def descent_table(pi: Permutation) -> DescentTable:
-    descents = tuple(
-        (i, i + 1) for i in range(1, len(pi)) if pi[i - 1] > pi[i]
-    )
-    tops = tuple(pi[i - 1] for i, _ in descents)
-    bottoms = tuple(pi[j - 1] for _, j in descents)
-    return DescentTable(descents, tops, bottoms, frozenset(bottoms))
+    return tuple((i, i + 1) for i in range(1, len(pi)) if pi[i - 1] > pi[i])
 
 
 def left_to_right_maxima(pi: Permutation) -> set[int]:
@@ -175,9 +159,12 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
     """
     All 312-avoiding permutations of [n], in lexicographic one-line order.
 
-    Builds prefixes left to right; a value c may extend a prefix unless it
-    would play the "2" of a 312, i.e. unless some earlier entry b < c has a
-    still-earlier entry a > c.  |result| is the n-th Catalan number.
+    A permutation avoids 312 iff one stack, fed 1..n in order, can output
+    it (Knuth, TAOCP vol. 1, section 2.2.1, exercise 5), and each output
+    comes from one sequence of pushes and pops, a Dyck word; so this walks
+    those sequences.  It tries a pop before a push: every value output after
+    a push exceeds the current stack top, so this gives lexicographic order.
+    |result| is the n-th Catalan number.
 
     >>> [format_permutation(p) for p in enumerate_av312(3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1', '3 2 1']
@@ -185,24 +172,21 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
     if n < 0:
         raise InvalidInput("n must be nonnegative")
 
-    prefix: list[int] = []
-    prefmax: list[int] = [0]  # prefmax[j] = max of prefix[:j]
+    out: list[int] = []
+    stack: list[int] = []
 
-    def completes_312(c: int) -> bool:
-        return any(b < c < prefmax[j] for j, b in enumerate(prefix))
-
-    def walk() -> Iterator[Permutation]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+    def walk(fed: int) -> Iterator[Permutation]:
+        # fed = how many of 1..n have been pushed
+        if len(out) == n:
+            yield tuple(out)
             return
-        used = set(prefix)
-        for c in range(1, n + 1):
-            if c in used or completes_312(c):
-                continue
-            prefix.append(c)
-            prefmax.append(max(prefmax[-1], c))
-            yield from walk()
-            prefix.pop()
-            prefmax.pop()
+        if stack:
+            out.append(stack.pop())
+            yield from walk(fed)
+            stack.append(out.pop())
+        if fed < n:
+            stack.append(fed + 1)
+            yield from walk(fed + 1)
+            stack.pop()
 
-    yield from walk()
+    yield from walk(0)

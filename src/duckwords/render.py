@@ -18,7 +18,7 @@ DOT_RADIUS = 5
 def _point_labels(c: HookConfig) -> dict[int, str]:
     """Role letter for each position: X for descent bottoms, Y for SW
     endpoints, Z for NE endpoints (concatenated for multi-role points)."""
-    bottoms = {j for _, j in descent_table(c.perm).descents}
+    bottoms = {j for _, j in descent_table(c.perm)}
     labels: dict[int, str] = {}
     for p in range(1, c.n + 1):
         tag = ""

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from duckwords.cli import main
-from duckwords.counts import TRANSFER_KMAX
+from duckwords.counts import CATALAN_KMAX, TRANSFER_KMAX
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
 FIG7_JSON = '{"perm":[3,2,1,5,6,4,8,9,7,10],"hooks":[[1,8],[2,4],[5,7],[8,10]]}'
@@ -155,6 +155,25 @@ def test_map_psi(capsys):
 def test_resource_limit_exit_3(capsys):
     assert main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"]) == 3
     assert main(["triangle", "duck", "--kmax", str(TRANSFER_KMAX + 1)]) == 3
+
+
+def test_count_catalan_bounded(capsys):
+    for kind in ("catalan", "catalan3d"):
+        code, out = run(capsys, "count", kind, "--k", str(CATALAN_KMAX))
+        assert code == 0 and out.strip().isdigit()
+        for k in (CATALAN_KMAX + 1, 8000, 99999999999):
+            code, out = run(capsys, "count", kind, "--k", str(k))
+            assert (code, out) == (3, "")
+
+
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        for argv in (("triangle", "duck", "--kmax", "3"),
+                     ("render", FIG5_JSON),
+                     ("enumerate", "dyck", "--k", "2")):
+            assert main([*argv, "--out", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_triangle_negative_kmax_exit_2(capsys):

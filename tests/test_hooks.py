@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from duckwords.errors import InvalidInput
@@ -68,6 +70,56 @@ def test_make_config_rejects_ill_formed_hooks():
                  '{"perm":[2,1,3]}', "[" * 100000):
         with pytest.raises(InvalidInput):
             HookConfig.from_json(text)
+
+
+def test_condition_iii_witness_is_the_crossing_pair():
+    report = check_valid(make_config((3, 2, 1, 4, 5), [(1, 4), (2, 5)]))
+    assert (report.failed_condition, report.witness) == ("iii", ((1, 4), (2, 5)))
+
+
+def _drawn(pi, hook) -> set:
+    # the lattice points of the L-shaped path: up from (a, pi_a), then right
+    a, b = hook
+    ya, yb = pi[a - 1], pi[b - 1]
+    return {(a, y) for y in range(ya, yb + 1)} | {(x, yb) for x in range(a, b + 1)}
+
+
+def _valid_by_drawing(pi, hooks) -> bool:
+    """Conditions (i)-(iii) as the paper states them, on drawn point sets.
+
+    Axis-aligned integer segments that meet do so at a lattice point, and
+    an overlap holds at least two, so comparing lattice points is exact.
+    """
+    if {a for a, _ in hooks} != {i for i in range(1, len(pi)) if pi[i - 1] > pi[i]}:
+        return False
+    if any(pi[l - 1] > pi[b - 1] for a, b in hooks for l in range(a + 1, b)):
+        return False
+    for h1, h2 in itertools.combinations(hooks, 2):
+        shared_ends = {(p, pi[p - 1]) for p in h1} & {(p, pi[p - 1]) for p in h2}
+        if not _drawn(pi, h1) & _drawn(pi, h2) <= shared_ends:
+            return False
+    return True
+
+
+def test_validity_matches_the_drawing():
+    # every permutation with n <= 8 and every 312-avoider with n = 9; each
+    # choice of one NE position j with pi_j > pi_top per descent top
+    perms = itertools.chain(
+        (pi for n in range(9) for pi in itertools.permutations(range(1, n + 1))),
+        enumerate_av312(9),
+    )
+    for pi in perms:
+        tops = [i for i in range(1, len(pi)) if pi[i - 1] > pi[i]]
+        choices = [[j for j in range(t + 1, len(pi) + 1) if pi[j - 1] > pi[t - 1]]
+                   for t in tops]
+        valid = []
+        for ne in itertools.product(*choices):
+            hooks = list(zip(tops, ne))
+            expected = _valid_by_drawing(pi, hooks)
+            assert check_valid(make_config(pi, hooks)).valid == expected, (pi, hooks)
+            if expected:
+                valid.append(tuple(hooks))
+        assert [c.hooks for c in enumerate_vhcs(pi)] == valid, pi
 
 
 def test_condition_i_wrong_sw():

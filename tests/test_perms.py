@@ -47,10 +47,11 @@ def test_parse_and_format():
 
 
 def test_descent_table():
-    t = descent_table((3, 2, 4, 1, 7, 8, 6, 9, 10, 11, 5, 12))
-    assert t.descents == ((1, 2), (3, 4), (6, 7), (10, 11))
-    assert t.top_heights == (3, 4, 8, 11)
-    assert t.bottom_height_set == frozenset({2, 1, 6, 5})
+    pi = (3, 2, 4, 1, 7, 8, 6, 9, 10, 11, 5, 12)
+    t = descent_table(pi)
+    assert t == ((1, 2), (3, 4), (6, 7), (10, 11))
+    assert tuple(pi[i - 1] for i, _ in t) == (3, 4, 8, 11)
+    assert {pi[j - 1] for _, j in t} == {2, 1, 6, 5}
 
 
 def test_left_to_right_maxima():
