@@ -1,67 +1,91 @@
 """Valid hook configurations on 312-avoiding permutations, 3D-Dyck and duck
-words, and the bijections between them."""
+words, and the bijections between them.
+
+The names below are loaded from their module on first use (PEP 562), so
+importing the package loads none of the modules until a name is asked for.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import InvalidInput, ResourceLimit
-from .perms import (
-    Permutation,
-    avoids,
-    avoids_312,
-    contains_pattern,
-    descent_table,
-    enumerate_av312,
-    left_to_right_maxima,
-    normalize,
-    parse_permutation,
-)
-from .hooks import (
-    HookConfig,
-    ValidityReport,
-    check_valid,
-    enumerate_vhcs,
-    hooks_projection,
-    is_reduced,
-    make_config,
-    reduce_config,
-    verify_eq1,
-)
-from .words import (
-    RewrittenDuckWord,
-    UnderlinedDuckWord,
-    decode,
-    duck_index,
-    enumerate_3d_dyck,
-    enumerate_dyck,
-    enumerate_rewritten,
-    enumerate_underlined,
-    rewrite,
-    rewrite_duck_word,
-    underline_all,
-    validate_underlined,
-    yz_projection,
-)
-from .maps import (
-    contract,
-    expand,
-    phi,
-    phi_inverse,
-    phi_prime,
-    phi_prime_inverse,
-    psi,
-    tennis_lawns,
-)
-from .counts import (
-    CountTriangle,
-    IntPolynomial,
-    catalan,
-    catalan3d,
-    duck_k1_oracle,
-    duck_triangle,
-    f_poly,
-    h_poly,
-    load_golden_triangle,
-    tennis_ball_weighted,
-    underlined_triangle,
-    verify_identities,
-)
+_EXPORTS = {
+    "errors": ("InvalidInput", "ResourceLimit"),
+    "perms": (
+        "Permutation",
+        "avoids",
+        "avoids_312",
+        "contains_pattern",
+        "descent_table",
+        "enumerate_av312",
+        "left_to_right_maxima",
+        "normalize",
+        "parse_permutation",
+    ),
+    "hooks": (
+        "HookConfig",
+        "ValidityReport",
+        "check_valid",
+        "enumerate_vhcs",
+        "hooks_projection",
+        "is_reduced",
+        "make_config",
+        "reduce_config",
+        "verify_eq1",
+    ),
+    "words": (
+        "RewrittenDuckWord",
+        "UnderlinedDuckWord",
+        "decode",
+        "duck_index",
+        "enumerate_3d_dyck",
+        "enumerate_dyck",
+        "enumerate_rewritten",
+        "enumerate_underlined",
+        "rewrite",
+        "rewrite_duck_word",
+        "underline_all",
+        "validate_underlined",
+        "yz_projection",
+    ),
+    "maps": (
+        "contract",
+        "expand",
+        "phi",
+        "phi_inverse",
+        "phi_prime",
+        "phi_prime_inverse",
+        "psi",
+        "tennis_lawns",
+    ),
+    "counts": (
+        "CountTriangle",
+        "IntPolynomial",
+        "catalan",
+        "catalan3d",
+        "duck_k1_oracle",
+        "duck_triangle",
+        "f_poly",
+        "h_poly",
+        "load_golden_triangle",
+        "tennis_ball_weighted",
+        "underlined_triangle",
+        "verify_identities",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,72 +2,51 @@
 Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-limit exceeded.
+limit exceeded, 4 internal error (an unexpected exception, reported on one
+line).
+
+Each command imports the modules it runs inside its own function, so a
+command loads only what it needs.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import sys
 
 from . import __version__
-from .counts import (
-    catalan,
-    catalan3d,
-    duck_triangle,
-    load_golden_triangle,
-    tennis_ball_count,
-    tennis_ball_weighted,
-    underlined_triangle,
-    verify_identities,
-)
-from .errors import InvalidInput, ResourceLimit
-from .hooks import (
-    DEFAULT_BRUTE_BOUND,
-    HookConfig,
-    count_vhcs,
-    enumerate_vhcs,
-    red_vhc_count_brute,
-    verify_eq1,
-)
-from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse, psi
-from .perms import enumerate_av312, format_permutation, parse_permutation
-from .render import render_svg, render_tikz
-from .words import (
-    RewrittenDuckWord,
-    UnderlinedDuckWord,
-    check_duck_range,
-    decode,
-    duck_index,
-    enumerate_3d_dyck,
-    enumerate_dyck,
-    enumerate_rewritten,
-    enumerate_underlined,
-    rewrite,
-    underline_all,
-)
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
+
+# enumerate writes its output this many items at a time
+ENUM_BLOCK = 1024
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidInput(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        print(text)
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings of `chunks` to the file `out`, or to stdout followed
+    by a newline, as print would."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {out}: {exc.strerror}") from exc
 
 
 # --- triangle ---------------------------------------------------------------
 
 
 def cmd_triangle(args) -> int:
+    from .counts import duck_triangle, underlined_triangle
+
     if args.kind == "duck":
         if args.method != "transform":
             raise InvalidInput(f"triangle duck has no method {args.method!r}")
@@ -80,11 +59,13 @@ def cmd_triangle(args) -> int:
         # k-1 down to 0, matching the reduced-count triangle layout
         rows = [list(reversed(r)) for r in rows]
     if args.format == "json":
-        _emit(json.dumps({"kind": args.kind, "rows": rows}), args.out)
+        import json
+
+        _emit([json.dumps({"kind": args.kind, "rows": rows})], args.out)
     elif args.format == "text":
-        _emit("\n".join(" ".join(str(e) for e in row) for row in rows), args.out)
+        _emit(["\n".join(" ".join(str(e) for e in row) for row in rows)], args.out)
     else:
-        _emit("\n".join(",".join(str(e) for e in row) for row in rows), args.out)
+        _emit(["\n".join(",".join(str(e) for e in row) for row in rows)], args.out)
     return EXIT_OK
 
 
@@ -92,6 +73,9 @@ def cmd_triangle(args) -> int:
 
 
 def _run_roundtrips(kmax: int) -> dict:
+    from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse
+    from .words import decode, enumerate_3d_dyck, enumerate_underlined, rewrite, underline_all
+
     checked = 0
     failures: list[str] = []
     for k in range(1, kmax + 1):
@@ -112,6 +96,8 @@ def _run_roundtrips(kmax: int) -> dict:
 
 
 def _check_golden(kmax: int, golden_dir: str | None) -> dict:
+    from .counts import duck_triangle, load_golden_triangle, underlined_triangle
+
     mismatches: list[dict] = []
     golden_duck = load_golden_triangle("duck", golden_dir)
     golden_red = load_golden_triangle("redvhc", golden_dir)
@@ -133,6 +119,11 @@ def _check_golden(kmax: int, golden_dir: str | None) -> dict:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from .counts import verify_identities
+    from .hooks import verify_eq1
+
     report = {
         "identities": verify_identities(args.kmax, args.limit),
         "eq1": [verify_eq1(n, args.brute_bound) for n in range(args.eq1_max + 1)],
@@ -145,7 +136,7 @@ def cmd_verify(args) -> int:
         and report["roundtrips"]["pass"]
         and report["golden"]["pass"]
     )
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit([json.dumps(report, indent=2)], args.out)
     if not report["all_pass"]:
         for entry in report["identities"]["identities"]:
             if not entry["pass"]:
@@ -169,6 +160,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from .hooks import HookConfig
+    from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse, psi
+    from .words import UnderlinedDuckWord
+
     direction = args.direction
     if direction == "phi":
         forward = phi(HookConfig.from_json(args.input))
@@ -204,12 +199,15 @@ def cmd_map(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .hooks import HookConfig
+    from .render import render_svg, render_tikz
+
     config = HookConfig.from_json(args.input)
     if args.format == "tikz":
         doc = render_tikz(config, labels=args.labels)
     else:
         doc = render_svg(config, labels=args.labels)
-    _emit(doc, args.out)
+    _emit([doc], args.out)
     return EXIT_OK
 
 
@@ -219,21 +217,28 @@ def cmd_render(args) -> int:
 def _enumerated_items(args):
     kind = args.kind
     if kind == "av312":
+        from .perms import enumerate_av312, format_permutation
+
         return (format_permutation(p) for p in enumerate_av312(_require(args, "n")))
     if kind == "vhc":
-        pi = parse_permutation(_require(args, "perm"))
-        return (c.to_json() for c in enumerate_vhcs(pi))
+        from .hooks import enumerate_vhcs
+
+        return (c.to_json() for c in enumerate_vhcs(_bounded_perm(args)))
+    from . import words
+
     if kind == "dyck":
-        return enumerate_dyck(_require(args, "k"))
+        return words.enumerate_dyck(_require(args, "k"))
     if kind == "3d-dyck":
-        return enumerate_3d_dyck(_require(args, "k"))
+        return words.enumerate_3d_dyck(_require(args, "k"))
     if kind == "duck":
         k, i = _require(args, "k"), _require(args, "i")
-        check_duck_range(k, i)
-        return (w for w in enumerate_3d_dyck(k) if duck_index(w) == i)
+        words.check_duck_range(k, i)
+        return (w for w in words.enumerate_3d_dyck(k) if words.duck_index(w) == i)
     if kind == "underlined":
-        return (u.to_text() for u in enumerate_underlined(_require(args, "k"), _require(args, "i")))
-    return (r.to_text() for r in enumerate_rewritten(_require(args, "k"), _require(args, "i")))
+        return (u.to_text()
+                for u in words.enumerate_underlined(_require(args, "k"), _require(args, "i")))
+    return (r.to_text()
+            for r in words.enumerate_rewritten(_require(args, "k"), _require(args, "i")))
 
 
 def _require(args, name: str):
@@ -243,28 +248,67 @@ def _require(args, name: str):
     return value
 
 
+def _bounded_perm(args):
+    """The --perm permutation; ResourceLimit if it is longer than --brute-bound,
+    as the number of its hook configurations grows exponentially."""
+    from .perms import parse_permutation
+
+    pi = parse_permutation(_require(args, "perm"))
+    if len(pi) > args.brute_bound:
+        raise ResourceLimit(f"n={len(pi)} exceeds brute-force bound {args.brute_bound}")
+    return pi
+
+
+def _joined(items, sep: str):
+    """The strings of `items` with `sep` between them, ENUM_BLOCK items at a
+    time."""
+    lead = ""
+    while block := list(itertools.islice(items, ENUM_BLOCK)):
+        yield lead + sep.join(block)
+        lead = sep
+
+
 def cmd_enumerate(args) -> int:
-    items = list(_enumerated_items(args))
+    items = _enumerated_items(args)
+    # A generator checks its arguments only when first advanced, so the
+    # first item is drawn before anything is written.
+    first = next(items, None)
+    if first is not None:
+        items = itertools.chain((first,), items)
     if args.format == "json":
-        _emit(json.dumps(items), args.out)
+        import json
+
+        _emit(itertools.chain(["["], _joined(map(json.dumps, items), ", "), ["]"]), args.out)
     else:
-        _emit("\n".join(items), args.out)
+        _emit(_joined(items, "\n"), args.out)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
     kind = args.kind
     if kind == "catalan":
+        from .counts import catalan
+
         value = catalan(_require(args, "k"))
     elif kind == "catalan3d":
+        from .counts import catalan3d
+
         value = catalan3d(_require(args, "k"))
     elif kind == "redvhc":
+        from .hooks import red_vhc_count_brute
+
         value = red_vhc_count_brute(_require(args, "k"), _require(args, "n"), args.brute_bound)
     elif kind == "vhc":
-        value = count_vhcs(parse_permutation(_require(args, "perm")))
+        from .hooks import count_vhcs
+
+        value = count_vhcs(_bounded_perm(args))
     elif kind == "tennis-lawns":
+        from .counts import tennis_ball_count
+
         value = tennis_ball_count(_require(args, "m"))
     elif kind == "tennis-weighted":
+        from .counts import tennis_ball_weighted
+
         value = tennis_ball_weighted(_require(args, "m"), args.method or "simulate")
     else:
         value = sum(1 for _ in _enumerated_items(args))
@@ -350,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,20 +16,20 @@ its counts indexed by i, for k up to TRANSFER_KMAX.  The underlined and
 reduced-configuration rows, f_k and h_k all follow from it by the binomial
 transform and the shift.  Enumeration stays as the independent oracle
 (`underlined_triangle(method="enumerate")`), bounded by an enumeration limit.
+
+The enumerating modules are imported only by the functions here that call
+them, so counting by recurrence loads none of them.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from importlib import resources
 from math import comb, factorial
 from pathlib import Path
 
-from .errors import InvalidInput, ResourceLimit
-from .hooks import DEFAULT_BRUTE_BOUND, red_vhc_count_brute
-from .maps import tennis_lawns
-from .words import enumerate_underlined
+from ._record import Record, set_field
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
 
 # Enumerations beyond this k are refused unless the caller raises the limit.
 DEFAULT_ENUM_LIMIT = 7
@@ -64,16 +64,24 @@ def catalan3d(k: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class CountTriangle:
-    rows: tuple[tuple[int, ...], ...]
+class CountTriangle(Record):
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        for k, row in enumerate(self.rows, start=1):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        for k, row in enumerate(rows, start=1):
             if len(row) != k:
                 raise InvalidInput(f"row {k} has {len(row)} entries, expected {k}")
             if any(e < 0 for e in row):
                 raise InvalidInput(f"row {k} has a negative entry")
+        set_field(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def kmax(self) -> int:
@@ -182,6 +190,8 @@ def underlined_triangle(
         duck = duck_triangle(kmax)
         return CountTriangle(tuple(binomial_transform_row(r) for r in duck.rows))
     if method == "enumerate":
+        from .words import enumerate_underlined
+
         _check_enum_limit(kmax, limit)
         rows = []
         for k in range(1, kmax + 1):
@@ -190,6 +200,8 @@ def underlined_triangle(
             ))
         return CountTriangle(tuple(rows))
     if method == "brute_vhc":
+        from .hooks import red_vhc_count_brute
+
         rows = []
         for k in range(1, kmax + 1):
             if 3 * k - (k - 1) > brute_bound:
@@ -203,11 +215,21 @@ def underlined_triangle(
     raise InvalidInput(f"unknown method: {method!r}")
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Exact-integer polynomial, coefficients in ascending degree."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        set_field(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -250,6 +272,8 @@ def tennis_ball_weighted(n: int, method: str = "closed_form") -> int:
     if n < 0:
         raise InvalidInput("n must be nonnegative")
     if method == "simulate":
+        from .maps import tennis_lawns
+
         if n > SIMULATE_ROUNDS_LIMIT:
             raise ResourceLimit(f"n={n} exceeds simulation limit {SIMULATE_ROUNDS_LIMIT}")
         return sum(sum(lawn) for lawn in tennis_lawns(n))
@@ -264,6 +288,8 @@ def tennis_ball_weighted(n: int, method: str = "closed_form") -> int:
 
 def tennis_ball_count(n: int) -> int:
     """Number of reachable lawn configurations after n rounds."""
+    from .maps import tennis_lawns
+
     if n > SIMULATE_ROUNDS_LIMIT:
         raise ResourceLimit(f"n={n} exceeds simulation limit {SIMULATE_ROUNDS_LIMIT}")
     return len(tennis_lawns(n))

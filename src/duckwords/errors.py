@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the default bound that brute-force searches
+enforce with ResourceLimit."""
+
+# Default cap on n for exhaustive enumeration over Av_n(312) and for a
+# permutation whose hook configurations are listed.
+DEFAULT_BRUTE_BOUND = 10
 
 
 class InvalidInput(ValueError):

@@ -31,11 +31,11 @@ own.  The package trusts a HookConfig to be well formed, so a bare
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .errors import InvalidInput, ResourceLimit
+from ._record import Record, set_field
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
 from .perms import (
     Permutation,
     avoids_312,
@@ -47,14 +47,21 @@ from .perms import (
 
 Hook = tuple[int, int]
 
-# Default cap on exhaustive enumeration over Av_n(312).
-DEFAULT_BRUTE_BOUND = 10
 
+class HookConfig(Record):
+    __slots__ = ("perm", "hooks")
 
-@dataclass(frozen=True)
-class HookConfig:
-    perm: Permutation
-    hooks: tuple[Hook, ...]
+    def __init__(self, perm: Permutation, hooks: tuple[Hook, ...]):
+        set_field(self, "perm", perm)
+        set_field(self, "hooks", hooks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perm == other.perm and self.hooks == other.hooks
+
+    def __hash__(self):
+        return hash((self.perm, self.hooks))
 
     @property
     def n(self) -> int:
@@ -109,11 +116,23 @@ def make_config(perm, hooks) -> HookConfig:
     return HookConfig(pi, tuple(sorted(pairs)))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    failed_condition: str  # "i", "ii", "iii", or "none"
-    witness: tuple | None = None
+class ValidityReport(Record):
+    __slots__ = ("valid", "failed_condition", "witness")
+
+    def __init__(self, valid: bool, failed_condition: str, witness: tuple | None = None):
+        # failed_condition is "i", "ii", "iii", or "none"
+        set_field(self, "valid", valid)
+        set_field(self, "failed_condition", failed_condition)
+        set_field(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.valid == other.valid and self.failed_condition == other.failed_condition
+                and self.witness == other.witness)
+
+    def __hash__(self):
+        return hash((self.valid, self.failed_condition, self.witness))
 
 
 def check_valid(c: HookConfig) -> ValidityReport:

@@ -12,15 +12,15 @@ Text formats:
 
 Positions are 1-based everywhere.
 
-Text becomes a word through the `parse` methods.  As the dataclasses can also
+Text becomes a word through the `parse` methods.  As the word classes can also
 be built directly, `rewrite` and `decode` check their input, not their output.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record, set_field
 from .errors import InvalidInput
 
 
@@ -131,10 +131,20 @@ def enumerate_3d_dyck(k: int) -> Iterator[str]:
     yield from walk([], 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class UnderlinedDuckWord:
-    word: str
-    underlines: frozenset[int]
+class UnderlinedDuckWord(Record):
+    __slots__ = ("word", "underlines")
+
+    def __init__(self, word: str, underlines: frozenset[int]):
+        set_field(self, "word", word)
+        set_field(self, "underlines", underlines)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and self.underlines == other.underlines
+
+    def __hash__(self):
+        return hash((self.word, self.underlines))
 
     def to_text(self) -> str:
         return "".join(
@@ -193,11 +203,23 @@ def enumerate_underlined(k: int, i: int) -> Iterator[UnderlinedDuckWord]:
             yield UnderlinedDuckWord(w, frozenset(combo))
 
 
-@dataclass(frozen=True)
-class RewrittenDuckWord:
-    letters: str
-    circle_counts: tuple[int, ...]
-    underline_flags: tuple[bool, ...]
+class RewrittenDuckWord(Record):
+    __slots__ = ("letters", "circle_counts", "underline_flags")
+
+    def __init__(self, letters: str, circle_counts: tuple[int, ...],
+                 underline_flags: tuple[bool, ...]):
+        set_field(self, "letters", letters)
+        set_field(self, "circle_counts", circle_counts)
+        set_field(self, "underline_flags", underline_flags)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters == other.letters and self.circle_counts == other.circle_counts
+                and self.underline_flags == other.underline_flags)
+
+    def __hash__(self):
+        return hash((self.letters, self.circle_counts, self.underline_flags))
 
     def to_text(self) -> str:
         out = []

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from duckwords import cli
 from duckwords.cli import main
 from duckwords.counts import CATALAN_KMAX, TRANSFER_KMAX
+from duckwords.words import enumerate_3d_dyck
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
 FIG7_JSON = '{"perm":[3,2,1,5,6,4,8,9,7,10],"hooks":[[1,8],[2,4],[5,7],[8,10]]}'
@@ -113,6 +115,68 @@ def test_enumerate_and_count(capsys):
     assert (code, out.strip()) == (0, "42")
     code, out = run(capsys, "count", "redvhc", "--k", "2", "--n", "5")
     assert (code, out.strip()) == (0, "3")
+
+
+def test_enumerate_output(capsys, tmp_path):
+    # more words than one block of output; k = 0 has one word, the empty one
+    for k in (5, 0):
+        words = list(enumerate_3d_dyck(k))
+        for fmt, text in (("lines", "\n".join(words)), ("json", json.dumps(words))):
+            code, out = run(capsys, "enumerate", "3d-dyck", "--k", str(k), "--format", fmt)
+            assert (code, out) == (0, text + "\n")
+            target = tmp_path / f"{k}.{fmt}"
+            code, out = run(capsys, "enumerate", "3d-dyck", "--k", str(k), "--format", fmt,
+                            "--out", str(target))
+            assert (code, out) == (0, "")
+            assert target.read_text() == text
+
+
+def test_enumerate_checks_arguments_before_writing(capsys, tmp_path):
+    # enumerate_underlined checks i only when it is first advanced
+    target = tmp_path / "kept.txt"
+    target.write_text("kept")
+    for fmt in ("lines", "json"):
+        code, out = run(capsys, "enumerate", "underlined", "--k", "3", "--i", "7",
+                        "--format", fmt)
+        assert (code, out) == (2, "")
+        assert main(["enumerate", "underlined", "--k", "3", "--i", "7", "--format", fmt,
+                     "--out", str(target)]) == 2
+        assert target.read_text() == "kept"
+
+
+def test_enumerate_writes_as_it_goes(capsys, monkeypatch):
+    def items(args):
+        yield from (str(n) for n in range(cli.ENUM_BLOCK))
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(cli, "_enumerated_items", items)
+    code, out = run(capsys, "enumerate", "dyck", "--k", "1")
+    assert code == 4
+    assert out == "\n".join(str(n) for n in range(cli.ENUM_BLOCK))
+
+
+def test_vhc_perm_bounded(capsys):
+    # 2 1 4 3 ... 8 7 9 10 11 12: the configurations of this family grow
+    # about fourfold every three points
+    perm = " ".join(map(str, [2, 1, 4, 3, 6, 5, 8, 7, 9, 10, 11, 12]))
+    for command in ("count", "enumerate"):
+        code, out = run(capsys, command, "vhc", "--perm", perm)
+        assert (code, out) == (3, "")
+    code, out = run(capsys, "count", "vhc", "--perm", perm, "--brute-bound", "12")
+    assert code == 0
+    code, listed = run(capsys, "enumerate", "vhc", "--perm", perm, "--brute-bound", "12")
+    assert code == 0 and len(listed.splitlines()) == int(out) > 1
+
+
+def test_unexpected_exception_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_count", broken)
+    assert main(["count", "catalan", "--k", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_count_missing_flag_exit_2(capsys):

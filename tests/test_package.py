@@ -1,0 +1,129 @@
+"""The value classes, the lazily loaded package namespace, and what one CLI
+command imports."""
+import copy
+import json
+import os
+import pickle
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import duckwords
+from duckwords import (
+    CountTriangle,
+    HookConfig,
+    IntPolynomial,
+    InvalidInput,
+    RewrittenDuckWord,
+    UnderlinedDuckWord,
+    ValidityReport,
+)
+
+# every record class, each built twice from fresh containers, with its repr
+RECORDS = [
+    (lambda: HookConfig(tuple([2, 1, 3]), tuple([(1, 3)])),
+     "HookConfig(perm=(2, 1, 3), hooks=((1, 3),))"),
+    (lambda: ValidityReport(True, "none"),
+     "ValidityReport(valid=True, failed_condition='none', witness=None)"),
+    (lambda: ValidityReport(False, "iii", tuple([(1, 3), (2, 4)])),
+     "ValidityReport(valid=False, failed_condition='iii', witness=((1, 3), (2, 4)))"),
+    (lambda: UnderlinedDuckWord("XXYYZZ", frozenset([4])),
+     "UnderlinedDuckWord(word='XXYYZZ', underlines=frozenset({4}))"),
+    (lambda: RewrittenDuckWord("UD", tuple([0, 0]), tuple([False, False])),
+     "RewrittenDuckWord(letters='UD', circle_counts=(0, 0), underline_flags=(False, False))"),
+    (lambda: CountTriangle(tuple([(1,), (2, 3)])), "CountTriangle(rows=((1,), (2, 3)))"),
+    (lambda: IntPolynomial(tuple([1, 2])), "IntPolynomial(coefficients=(1, 2))"),
+]
+
+# the public names of the package, as they were when it imported every module
+PACKAGE_NAMES = {
+    "InvalidInput", "ResourceLimit",
+    "Permutation", "avoids", "avoids_312", "contains_pattern", "descent_table",
+    "enumerate_av312", "left_to_right_maxima", "normalize", "parse_permutation",
+    "HookConfig", "ValidityReport", "check_valid", "enumerate_vhcs", "hooks_projection",
+    "is_reduced", "make_config", "reduce_config", "verify_eq1",
+    "RewrittenDuckWord", "UnderlinedDuckWord", "decode", "duck_index", "enumerate_3d_dyck",
+    "enumerate_dyck", "enumerate_rewritten", "enumerate_underlined", "rewrite",
+    "rewrite_duck_word", "underline_all", "validate_underlined", "yz_projection",
+    "contract", "expand", "phi", "phi_inverse", "phi_prime", "phi_prime_inverse", "psi",
+    "tennis_lawns",
+    "CountTriangle", "IntPolynomial", "catalan", "catalan3d", "duck_k1_oracle",
+    "duck_triangle", "f_poly", "h_poly", "load_golden_triangle", "tennis_ball_weighted",
+    "underlined_triangle", "verify_identities",
+}
+
+
+@pytest.mark.parametrize("make, text", RECORDS)
+def test_record_is_a_frozen_value(make, text):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == text
+    for field in re.findall(r"(\w+)=", text):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and repr(a) == text
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_records_of_different_classes_differ():
+    values = [make() for make, _ in RECORDS]
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            assert (x == y) is (i == j)
+    # the same field values in two classes, or as a tuple, are not equal
+    assert IntPolynomial(((1,),)) != CountTriangle(((1,),))
+    config = HookConfig((2, 1, 3), ((1, 3),))
+    assert config != ((2, 1, 3), ((1, 3),)) and config != (2, 1, 3)
+    assert ValidityReport(True, "none") != ValidityReport(True, "none", ())
+
+
+def test_count_triangle_checks_its_rows():
+    with pytest.raises(InvalidInput, match="row 2 has 1 entries"):
+        CountTriangle(((1,), (2,)))
+    with pytest.raises(InvalidInput, match="negative"):
+        CountTriangle(((1,), (2, -3)))
+
+
+def test_package_names():
+    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 53
+    assert set(duckwords.__all__) == PACKAGE_NAMES
+    listed = {n for n in dir(duckwords)
+              if not n.startswith("_") and not isinstance(getattr(duckwords, n), types.ModuleType)}
+    assert listed == PACKAGE_NAMES
+    namespace: dict = {}
+    exec("from duckwords import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PACKAGE_NAMES
+    assert namespace["phi"] is duckwords.phi is duckwords.maps.phi
+    with pytest.raises(AttributeError, match="nope"):
+        duckwords.nope  # noqa: B018
+    assert not hasattr(duckwords, "nope")
+
+
+def test_count_command_imports_only_what_it_runs():
+    # a fresh interpreter; whatever `site` loads is in `before`
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from duckwords.cli import main\n"
+        "code = main(['count', 'catalan3d', '--k', '3'])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    printed, summary = proc.stdout.splitlines()
+    code, loaded = json.loads(summary)
+    assert printed == "42" and code == 0
+    assert "duckwords.counts" in loaded
+    for name in ("dataclasses", "duckwords.hooks", "duckwords.maps", "duckwords.words"):
+        assert name not in loaded
