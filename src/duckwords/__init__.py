@@ -11,12 +11,9 @@ _EXPORTS = {
     "errors": ("InvalidInput", "ResourceLimit"),
     "perms": (
         "Permutation",
-        "avoids",
         "avoids_312",
-        "contains_pattern",
         "descent_table",
         "enumerate_av312",
-        "left_to_right_maxima",
         "normalize",
         "parse_permutation",
     ),
@@ -41,7 +38,6 @@ _EXPORTS = {
         "enumerate_rewritten",
         "enumerate_underlined",
         "rewrite",
-        "rewrite_duck_word",
         "underline_all",
         "validate_underlined",
         "yz_projection",

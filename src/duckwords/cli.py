@@ -3,7 +3,8 @@ Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 limit exceeded, 4 internal error (an unexpected exception, reported on one
-line).
+line).  A reader that closes the pipe early (`duckwords enumerate ... | head`)
+ends the command quietly with exit 0.
 
 Each command imports the modules it runs inside its own function, so a
 command loads only what it needs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from . import __version__
@@ -52,7 +54,7 @@ def cmd_triangle(args) -> int:
             raise InvalidInput(f"triangle duck has no method {args.method!r}")
         tri = duck_triangle(args.kmax)
     else:
-        tri = underlined_triangle(args.kmax, args.method, args.limit)
+        tri = underlined_triangle(args.kmax, args.method)
     rows = [list(r) for r in tri.rows]
     if args.kind == "redvhc":
         # display in increasing permutation size, i.e. deficiency
@@ -125,7 +127,7 @@ def cmd_verify(args) -> int:
     from .hooks import verify_eq1
 
     report = {
-        "identities": verify_identities(args.kmax, args.limit),
+        "identities": verify_identities(args.kmax),
         "eq1": [verify_eq1(n, args.brute_bound) for n in range(args.eq1_max + 1)],
         "roundtrips": _run_roundtrips(min(args.kmax, args.roundtrip_max)),
         "golden": _check_golden(args.kmax, args.golden_dir),
@@ -233,7 +235,8 @@ def _enumerated_items(args):
     if kind == "duck":
         k, i = _require(args, "k"), _require(args, "i")
         words.check_duck_range(k, i)
-        return (w for w in words.enumerate_3d_dyck(k) if words.duck_index(w) == i)
+        # every generated word is a 3D-Dyck word, so duck_index's check is skipped
+        return (w for w in words.enumerate_3d_dyck(k) if len(words.non_x_preceded_ys(w)) == i)
     if kind == "underlined":
         return (u.to_text()
                 for u in words.enumerate_underlined(_require(args, "k"), _require(args, "i")))
@@ -309,7 +312,7 @@ def cmd_count(args) -> int:
     elif kind == "tennis-weighted":
         from .counts import tennis_ball_weighted
 
-        value = tennis_ball_weighted(_require(args, "m"), args.method or "simulate")
+        value = tennis_ball_weighted(_require(args, "m"))
     else:
         value = sum(1 for _ in _enumerated_items(args))
     print(value)
@@ -333,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["transform", "enumerate", "brute_vhc"],
                    default="transform")
     p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-    p.add_argument("--limit", type=int, default=7,
-                   help="largest kmax for --method enumerate (default 7)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)
 
@@ -343,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq1-max", type=int, default=6)
     p.add_argument("--roundtrip-max", type=int, default=4)
     p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
-    p.add_argument("--limit", type=int, default=7,
-                   help="largest k for generating underlined words directly (default 7)")
     p.add_argument("--golden-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -364,21 +363,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     listed = ["av312", "vhc", "dyck", "3d-dyck", "duck", "underlined", "rewritten"]
-    counted = listed + ["redvhc", "tennis-lawns", "tennis-weighted", "catalan", "catalan3d"]
-    for name, func, kinds in (("enumerate", cmd_enumerate, listed),
-                              ("count", cmd_count, counted)):
-        p = sub.add_parser(name)
-        p.add_argument("kind", choices=kinds)
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--i", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--perm")
-        p.add_argument("--method")
-        p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
-        p.add_argument("--format", choices=["lines", "json"], default="lines")
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+    p = sub.add_parser("enumerate")
+    p.add_argument("kind", choices=listed)
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--i", type=int)
+    p.add_argument("--perm")
+    p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
+    p.add_argument("--format", choices=["lines", "json"], default="lines")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_enumerate)
+
+    p = sub.add_parser("count")
+    p.add_argument("kind", choices=listed + ["redvhc", "tennis-lawns", "tennis-weighted",
+                                             "catalan", "catalan3d"])
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--i", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--perm")
+    p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
+    p.set_defaults(func=cmd_count)
 
     return parser
 
@@ -394,6 +399,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader stopped early.  Point stdout at devnull, as Python's
+        # signal docs advise, so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

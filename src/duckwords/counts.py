@@ -15,7 +15,7 @@ X; `duck_triangle` runs a dynamic program over those states, each holding
 its counts indexed by i, for k up to TRANSFER_KMAX.  The underlined and
 reduced-configuration rows, f_k and h_k all follow from it by the binomial
 transform and the shift.  Enumeration stays as the independent oracle
-(`underlined_triangle(method="enumerate")`), bounded by an enumeration limit.
+(`underlined_triangle(method="enumerate")`), bounded by ENUM_KMAX.
 
 The enumerating modules are imported only by the functions here that call
 them, so counting by recurrence loads none of them.
@@ -31,13 +31,14 @@ from pathlib import Path
 from ._record import Record, set_field
 from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
 
-# Enumerations beyond this k are refused unless the caller raises the limit.
-DEFAULT_ENUM_LIMIT = 7
 # duck_triangle refuses rows beyond this k; the recurrence takes about a
 # second to reach it.
 TRANSFER_KMAX = 50
-# catalan and catalan3d refuse k beyond this: both values stay under
-# Python's 4,300-digit limit for printing an int.
+# underlined_triangle(method="enumerate") refuses rows beyond this k: each row
+# takes about 18 times as long as the one before, 5 s at k = 6.
+ENUM_KMAX = 7
+# catalan, catalan3d and tennis_ball_weighted refuse k beyond this: their
+# values stay under Python's 4,300-digit limit for printing an int.
 CATALAN_KMAX = 2000
 
 
@@ -111,11 +112,6 @@ def _check_kmax(kmax: int) -> None:
         raise InvalidInput(f"kmax must be nonnegative, got {kmax}")
 
 
-def _check_enum_limit(kmax: int, limit: int) -> None:
-    if kmax > limit:
-        raise ResourceLimit(f"kmax={kmax} exceeds enumeration limit {limit}")
-
-
 def duck_triangle(kmax: int) -> CountTriangle:
     """
     Duck counts by (k, i) for every k <= kmax.  A negative kmax raises
@@ -168,12 +164,7 @@ def binomial_transform_row(duck_row: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def underlined_triangle(
-    kmax: int,
-    method: str = "transform",
-    limit: int = DEFAULT_ENUM_LIMIT,
-    brute_bound: int = DEFAULT_BRUTE_BOUND,
-) -> CountTriangle:
+def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
     """
     Counts of (k, i)-underlined duck words, equivalently of reduced
     312-avoiding configurations with k hooks on 3k-i points.
@@ -181,9 +172,10 @@ def underlined_triangle(
     method:
       "transform"  binomial transform of the duck triangle (fast; bounded by
                    TRANSFER_KMAX);
-      "enumerate"  direct generation of underlined words (bounded by limit);
+      "enumerate"  direct generation of underlined words (bounded by
+                   ENUM_KMAX);
       "brute_vhc"  exhaustive hook-configuration search (needs 3k-i within
-                   the brute-force bound).
+                   DEFAULT_BRUTE_BOUND).
     """
     _check_kmax(kmax)
     if method == "transform":
@@ -192,7 +184,8 @@ def underlined_triangle(
     if method == "enumerate":
         from .words import enumerate_underlined
 
-        _check_enum_limit(kmax, limit)
+        if kmax > ENUM_KMAX:
+            raise ResourceLimit(f"kmax={kmax} exceeds enumeration limit {ENUM_KMAX}")
         rows = []
         for k in range(1, kmax + 1):
             rows.append(tuple(
@@ -204,13 +197,10 @@ def underlined_triangle(
 
         rows = []
         for k in range(1, kmax + 1):
-            if 3 * k - (k - 1) > brute_bound:
-                raise ResourceLimit(
-                    f"row {k} needs permutations of size {2 * k + 1} > bound {brute_bound}"
-                )
-            rows.append(tuple(
-                red_vhc_count_brute(k, 3 * k - i, brute_bound) for i in range(k)
-            ))
+            if 3 * k - (k - 1) > DEFAULT_BRUTE_BOUND:
+                raise ResourceLimit(f"row {k} needs permutations of size {2 * k + 1} "
+                                    f"> bound {DEFAULT_BRUTE_BOUND}")
+            rows.append(tuple(red_vhc_count_brute(k, 3 * k - i) for i in range(k)))
         return CountTriangle(tuple(rows))
     raise InvalidInput(f"unknown method: {method!r}")
 
@@ -267,7 +257,9 @@ SIMULATE_ROUNDS_LIMIT = 8
 def tennis_ball_weighted(n: int, method: str = "closed_form") -> int:
     """
     The n-th weighted tennis-ball number: the sum of all ball labels on the
-    lawn over every reachable configuration after n rounds.
+    lawn over every reachable configuration after n rounds.  The closed form
+    refuses n above CATALAN_KMAX, the simulation n above
+    SIMULATE_ROUNDS_LIMIT, with ResourceLimit.
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
@@ -278,6 +270,7 @@ def tennis_ball_weighted(n: int, method: str = "closed_form") -> int:
             raise ResourceLimit(f"n={n} exceeds simulation limit {SIMULATE_ROUNDS_LIMIT}")
         return sum(sum(lawn) for lawn in tennis_lawns(n))
     if method == "closed_form":
+        _check_catalan_k(n)
         num = (2 * n * n + 5 * n + 4) * comb(2 * n + 1, n)
         q, r = divmod(num, n + 2)
         if r:
@@ -347,17 +340,19 @@ def load_golden_triangle(name: str, directory: str | Path | None = None) -> Coun
 # --- identity suite --------------------------------------------------------
 
 
-def verify_identities(
-    kmax: int,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    enumerate_cap: int = 5,
-    simulate_cap: int = 6,
-) -> dict:
+# verify_identities generates underlined words directly only for k up to
+# VERIFY_ENUM_KMAX, and simulates the tennis-ball process only for n up to
+# VERIFY_SIMULATE_N: both grow much faster than the other checks.
+VERIFY_ENUM_KMAX = 5
+VERIFY_SIMULATE_N = 6
+
+
+def verify_identities(kmax: int) -> dict:
     """
     Check the counting identities for every k <= kmax.  Returns a report
     with one machine-readable entry per identity; direct generation of
     underlined words (identity 4) and process simulation (identity 8) are
-    capped independently since they grow much faster than the rest.
+    capped at VERIFY_ENUM_KMAX and VERIFY_SIMULATE_N.
     """
     duck = duck_triangle(kmax)
     underlined = CountTriangle(tuple(binomial_transform_row(r) for r in duck.rows))
@@ -381,8 +376,8 @@ def verify_identities(
         ),
         values=[duck.row(k)[k - 1] for k in range(1, kmax + 1)])
 
-    gen_max = min(kmax, enumerate_cap)
-    direct = underlined_triangle(gen_max, "enumerate", limit)
+    gen_max = min(kmax, VERIFY_ENUM_KMAX)
+    direct = underlined_triangle(gen_max, "enumerate")
     add("underline_transform", "binomial transform matches direct generation of underlined words",
         all(direct.row(k) == underlined.row(k) for k in range(1, gen_max + 1)),
         checked_up_to=gen_max)
@@ -411,12 +406,12 @@ def verify_identities(
         closed = tennis_ball_weighted(k - 1, "closed_form")
         oracle = duck_k1_oracle(k)
         ok = closed == expected == oracle
-        if k - 1 <= simulate_cap:
+        if k - 1 <= VERIFY_SIMULATE_N:
             ok = ok and tennis_ball_weighted(k - 1, "simulate") == expected
         tb_values.append({"k": k, "duck": expected, "closed_form": closed, "oracle": oracle})
         tb_ok = tb_ok and ok
     add("duck_k1_tennis_ball", "duck entry i=1 equals the weighted tennis-ball number",
-        tb_ok, values=tb_values, simulated_up_to=simulate_cap)
+        tb_ok, values=tb_values, simulated_up_to=VERIFY_SIMULATE_N)
 
     add("h_poly_positive", "shifted polynomial has strictly positive coefficients",
         all(

@@ -296,13 +296,6 @@ def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int
     return sum(1 for _ in enumerate_red_vhcs_av312(n, k))
 
 
-def red_vhc_total_brute(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:
-    """|RedVHC(Av_n(312))| (all hook counts) by exhaustive enumeration."""
-    if n > bound:
-        raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")
-    return sum(1 for _ in enumerate_red_vhcs_av312(n))
-
-
 def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
     """
     Check the reduction counting identity at size n:
@@ -316,7 +309,7 @@ def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
     if n > bound:
         raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")
     lhs = sum(count_vhcs(pi) for pi in enumerate_av312(n))
-    reduced_counts = [red_vhc_total_brute(r, bound) for r in range(n + 1)]
+    reduced_counts = [sum(1 for _ in enumerate_red_vhcs_av312(r)) for r in range(n + 1)]
     rhs = sum(reduced_counts[r] * comb(n, r) for r in range(n + 1))
     return {
         "n": n,

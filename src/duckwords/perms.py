@@ -1,5 +1,5 @@
 """
-Permutations in one-line notation, pattern containment, and descent structure.
+Permutations in one-line notation, 312-avoidance, and descent structure.
 
 A permutation of length n is a tuple of the integers 1..n.  Positions and
 values are both 1-based throughout, so the plot of ``pi`` is the point set
@@ -67,60 +67,6 @@ def descent_table(pi: Permutation) -> tuple[tuple[int, int], ...]:
     ((1, 2), (3, 4))
     """
     return tuple((i, i + 1) for i in range(1, len(pi)) if pi[i - 1] > pi[i])
-
-
-def left_to_right_maxima(pi: Permutation) -> set[int]:
-    """Positions i such that pi[i-1] exceeds every earlier entry."""
-    out: set[int] = set()
-    best = 0
-    for i, v in enumerate(pi, start=1):
-        if v > best:
-            out.add(i)
-            best = v
-    return out
-
-
-def contains_pattern(pi: Permutation, sigma: Permutation) -> bool:
-    """
-    True iff some subsequence of pi is order-isomorphic to sigma.
-
-    Backtracking over positions, pruning with the relative-order constraints
-    of the prefix chosen so far.
-
-    >>> contains_pattern((3, 4, 1, 5, 2), (3, 1, 2))
-    True
-    >>> contains_pattern((2, 1, 3, 5, 6, 4, 7), (3, 1, 2))
-    False
-    """
-    k = len(sigma)
-    if k == 0:
-        return True
-    n = len(pi)
-    if k > n:
-        return False
-
-    def extend(chosen: list[int], start: int) -> bool:
-        j = len(chosen)
-        if j == k:
-            return True
-        for pos in range(start, n - (k - j) + 1):
-            v = pi[pos]
-            ok = all(
-                (v > w) == (sigma[j] > sigma[t])
-                for t, w in enumerate(chosen)
-            )
-            if ok:
-                chosen.append(v)
-                if extend(chosen, pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend([], 0)
-
-
-def avoids(pi: Permutation, sigma: Permutation) -> bool:
-    return not contains_pattern(pi, sigma)
 
 
 def avoids_312(pi: Permutation) -> bool:

@@ -334,11 +334,6 @@ def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
     return UnderlinedDuckWord("".join(out), frozenset(underlines))
 
 
-def rewrite_duck_word(w: str) -> RewrittenDuckWord:
-    """Rewrite a plain duck word via its canonical underlined form."""
-    return rewrite(underline_all(w))
-
-
 def enumerate_rewritten(k: int, i: int) -> Iterator[RewrittenDuckWord]:
     """
     All rewritten (k, i)-duck words directly from the characterization:

@@ -1,4 +1,10 @@
+import argparse
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +15,17 @@ from duckwords.words import enumerate_3d_dyck
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
 FIG7_JSON = '{"perm":[3,2,1,5,6,4,8,9,7,10],"hooks":[[1,8],[2,4],[5,7],[8,10]]}'
+ROOT = Path(__file__).resolve().parents[1]
+
+# the option dests of each command: only what the command reads
+OPTIONS = {
+    "triangle": {"kind", "kmax", "method", "format", "out"},
+    "verify": {"kmax", "eq1_max", "roundtrip_max", "brute_bound", "golden_dir", "out"},
+    "map": {"direction", "input", "roundtrip"},
+    "render": {"input", "format", "labels", "out"},
+    "enumerate": {"kind", "n", "k", "i", "perm", "brute_bound", "format", "out"},
+    "count": {"kind", "n", "k", "i", "m", "perm", "brute_bound"},
+}
 
 
 def run(capsys, *argv):
@@ -222,11 +239,11 @@ def test_resource_limit_exit_3(capsys):
 
 
 def test_count_catalan_bounded(capsys):
-    for kind in ("catalan", "catalan3d"):
-        code, out = run(capsys, "count", kind, "--k", str(CATALAN_KMAX))
+    for kind, flag in (("catalan", "--k"), ("catalan3d", "--k"), ("tennis-weighted", "--m")):
+        code, out = run(capsys, "count", kind, flag, str(CATALAN_KMAX))
         assert code == 0 and out.strip().isdigit()
         for k in (CATALAN_KMAX + 1, 8000, 99999999999):
-            code, out = run(capsys, "count", kind, "--k", str(k))
+            code, out = run(capsys, "count", kind, flag, str(k))
             assert (code, out) == (3, "")
 
 
@@ -288,3 +305,49 @@ def test_usage_error_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         main(["triangle", "duck", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_each_command_has_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+               for name, p in sub.choices.items()}
+    assert options == OPTIONS
+    assert sum(len(dests) for dests in options.values()) == 33
+
+
+def test_removed_flags_exit_2(capsys, tmp_path):
+    for argv in (
+        ["count", "catalan", "--k", "3", "--out", str(tmp_path / "f.txt")],
+        ["count", "catalan", "--k", "3", "--format", "json"],
+        ["count", "tennis-weighted", "--m", "3", "--method", "simulate"],
+        ["enumerate", "dyck", "--k", "2", "--m", "3"],
+        ["enumerate", "dyck", "--k", "2", "--method", "simulate"],
+        ["triangle", "underlined", "--kmax", "3", "--limit", "7"],
+        ["verify", "--kmax", "2", "--limit", "7"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert not (tmp_path / "f.txt").exists()
+
+
+def test_readme_commands_run(capsys):
+    lines = [line for block in (ROOT / "README.md").read_text().split("```sh\n")[1:]
+             for line in block.split("```")[0].splitlines() if line.startswith("duckwords ")]
+    assert len(lines) >= 8
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_closed_pipe_exit_0():
+    # the 3D-Dyck words at k = 6 are 1.6 MB of output, more than a pipe holds
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+            [sys.executable, "-m", "duckwords.cli", "enumerate", "3d-dyck", "--k", "6"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""

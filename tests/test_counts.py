@@ -107,7 +107,7 @@ def test_tennis_ball_weighted():
     assert tennis_ball_weighted(3) == 131
     # closed form: (2n^2+5n+4) C(2n+1,n)/(n+2) - 2^(2n+1) at n=2
     assert (2 * 4 + 10 + 4) * 10 // 4 - 2 ** 5 == 23
-    for n in range(1, 7):
+    for n in range(SIMULATE_ROUNDS_LIMIT + 1):
         assert tennis_ball_weighted(n, "simulate") == tennis_ball_weighted(n, "closed_form")
 
 

@@ -16,7 +16,7 @@ from duckwords.hooks import (
     reduce_config,
     verify_eq1,
 )
-from duckwords.perms import avoids_312, enumerate_av312, left_to_right_maxima
+from duckwords.perms import avoids_312, enumerate_av312
 from duckwords.words import enumerate_dyck
 
 # known valid configurations (perm, hooks)
@@ -176,7 +176,8 @@ def test_point_count_range():
 def test_max_reduced_endpoints_are_ltr_maxima():
     for k in range(1, 4):
         for c in enumerate_red_vhcs_av312(3 * k, k):
-            assert c.endpoint_positions() <= left_to_right_maxima(c.perm)
+            maxima = {i for i in range(1, c.n + 1) if c.perm[i - 1] == max(c.perm[:i])}
+            assert c.endpoint_positions() <= maxima
 
 
 def test_hooks_projection_unique_k1():

@@ -15,7 +15,6 @@ from duckwords.words import (
     is_dyck,
     non_x_preceded_ys,
     rewrite,
-    rewrite_duck_word,
     underline_all,
     validate_underlined,
     yz_projection,
@@ -107,7 +106,7 @@ def test_enumerate_underlined_counts():
 
 
 def test_rewrite_known_value():
-    r = rewrite_duck_word("XXYYXZYXZZYZ")
+    r = rewrite(underline_all("XXYYXZYXZZYZ"))
     assert r.to_text() == "(U)u(D)u(D)DuD"
     assert decode(r) == underline_all("XXYYXZYXZZYZ")
 
