@@ -40,7 +40,6 @@ _EXPORTS = {
         "rewrite",
         "underline_all",
         "validate_underlined",
-        "yz_projection",
     ),
     "maps": (
         "contract",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ._record import Record, set_field
 from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
@@ -207,20 +207,48 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     condition (ii) is folded into the candidate lists and condition (iii)
     is the crossing rule against the hooks already chosen.
     """
-    tops = [i for i, _ in descent_table(pi)]
+    yield from _walk_vhcs(pi, descent_table(pi), ())
+
+
+def _walk_vhcs(pi: Permutation, descents: tuple[tuple[int, int], ...],
+               bare: Sequence[int]) -> Iterator[HookConfig]:
+    # The valid configurations on pi, in enumerate_vhcs order, in which every
+    # position of `bare` (ascending) is a NE end.  Only a hook from a top left
+    # of such a point can end there, so a branch is cut once every top left
+    # of it has its hook and it is still bare.
+    tops = [i for i, _ in descents]
+    if len(bare) > len(tops):  # NE ends are distinct
+        return
     candidates = [_ne_candidates(pi, t) for t in tops]
+    # due[idx]: the points of `bare` with exactly idx tops left of them, which
+    # must be NE ends once the tops in tops[:idx] have their hooks
+    due: list[list[int]] = [[] for _ in range(len(tops) + 1)]
+    idx = 0
+    for p in bare:
+        while idx < len(tops) and tops[idx] < p:
+            idx += 1
+        due[idx].append(p)
+    if due[0]:
+        return
     chosen: list[Hook] = []
+    ends: set[int] = set()
 
     def walk(idx: int) -> Iterator[HookConfig]:
         if idx == len(tops):
             yield HookConfig(pi, tuple(chosen))
             return
         a2 = tops[idx]
+        # the crossing rule a2 < b1 <= b2: end before every earlier hook
+        # that passes over a2
+        limit = min([b1 for _, b1 in chosen if b1 > a2], default=len(pi) + 1)
         for b2 in candidates[idx]:
-            if any(a2 < b1 <= b2 for _, b1 in chosen):
-                continue
+            if b2 >= limit:
+                break
             chosen.append((a2, b2))
-            yield from walk(idx + 1)
+            ends.add(b2)
+            if all(p in ends for p in due[idx + 1]):
+                yield from walk(idx + 1)
+            ends.discard(b2)
             chosen.pop()
 
     yield from walk(0)
@@ -263,28 +291,38 @@ def count_vhcs(pi: Permutation) -> int:
 
 
 def reduced_vhcs(pi: Permutation) -> Iterator[HookConfig]:
-    for c in enumerate_vhcs(pi):
-        if _covers_all(c):
-            yield c
+    """The reduced valid hook configurations on pi, in enumerate_vhcs order.
+
+    Descent tops are SW ends and descent bottoms are covered anyway, so a
+    configuration is reduced iff every other point is a NE end.
+    """
+    descents = descent_table(pi)
+    covered = {i for d in descents for i in d}
+    bare = [p for p in range(1, len(pi) + 1) if p not in covered]
+    yield from _walk_vhcs(pi, descents, bare)
+
+
+def _av312_ending_in_n(n: int) -> Iterator[Permutation]:
+    # The permutations of Av_n(312) that end in n, in lexicographic order:
+    # sigma + (n,) avoids 312 iff sigma does.  On any other pi in Av_n(312),
+    # n is a descent top that no hook can leave, so pi has no VHC.
+    if n == 0:
+        yield ()
+        return
+    for sigma in enumerate_av312(n - 1):
+        yield sigma + (n,)
 
 
 def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfig]:
     """Reduced VHCs over all of Av_n(312), optionally restricted to k hooks.
 
-    A VHC always has one hook per descent, so permutations with the wrong
-    descent count are skipped up front.  A reduced configuration covers all
-    n points with at most 2k endpoints and k descent bottoms, so n > 3k is
-    also pruned.
+    Only permutations that end in n carry a VHC, and a VHC has one hook per
+    descent, so only those with k descents are searched.  On each, the walk
+    of `reduced_vhcs` stops when the points that must be NE ends outnumber
+    the hooks, and cuts a branch once such a point can no longer be reached.
     """
-    for pi in enumerate_av312(n):
-        d = sum(1 for i in range(1, n) if pi[i - 1] > pi[i])
-        if k is not None and d != k:
-            continue
-        if d == 0:
-            if n == 0:
-                yield HookConfig(pi, ())
-            continue
-        if n > 3 * d:
+    for pi in _av312_ending_in_n(n):
+        if k is not None and sum(1 for i in range(1, n) if pi[i - 1] > pi[i]) != k:
             continue
         yield from reduced_vhcs(pi)
 
@@ -308,7 +346,7 @@ def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
     """
     if n > bound:
         raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")
-    lhs = sum(count_vhcs(pi) for pi in enumerate_av312(n))
+    lhs = sum(count_vhcs(pi) for pi in _av312_ending_in_n(n))
     reduced_counts = [sum(1 for _ in enumerate_red_vhcs_av312(r)) for r in range(n + 1)]
     rhs = sum(reduced_counts[r] * comb(n, r) for r in range(n + 1))
     return {

@@ -108,9 +108,10 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
     A permutation avoids 312 iff one stack, fed 1..n in order, can output
     it (Knuth, TAOCP vol. 1, section 2.2.1, exercise 5), and each output
     comes from one sequence of pushes and pops, a Dyck word; so this walks
-    those sequences.  It tries a pop before a push: every value output after
-    a push exceeds the current stack top, so this gives lexicographic order.
-    |result| is the n-th Catalan number.
+    those sequences in one loop, keeping the moves made so far.  It tries a
+    pop before a push: every value output after a push exceeds the current
+    stack top, so this gives lexicographic order.  |result| is the n-th
+    Catalan number.
 
     >>> [format_permutation(p) for p in enumerate_av312(3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1', '3 2 1']
@@ -120,19 +121,29 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
 
     out: list[int] = []
     stack: list[int] = []
-
-    def walk(fed: int) -> Iterator[Permutation]:
-        # fed = how many of 1..n have been pushed
-        if len(out) == n:
-            yield tuple(out)
+    pushed: list[bool] = []  # the moves so far: True for a push, False for a pop
+    fed = 0  # how many of 1..n have been pushed
+    while True:
+        while len(out) < n:  # first moves: pop if the stack holds anything
+            if stack:
+                out.append(stack.pop())
+                pushed.append(False)
+            else:
+                fed += 1
+                stack.append(fed)
+                pushed.append(True)
+        yield tuple(out)
+        # undo moves back to the last pop that a push can replace
+        while pushed:
+            if pushed.pop():
+                stack.pop()
+                fed -= 1
+            else:
+                stack.append(out.pop())
+                if fed < n:
+                    fed += 1
+                    stack.append(fed)
+                    pushed.append(True)
+                    break
+        else:
             return
-        if stack:
-            out.append(stack.pop())
-            yield from walk(fed)
-            stack.append(out.pop())
-        if fed < n:
-            stack.append(fed + 1)
-            yield from walk(fed + 1)
-            stack.pop()
-
-    yield from walk(0)

@@ -75,17 +75,6 @@ def duck_index(w: str) -> int:
     return len(non_x_preceded_ys(w))
 
 
-def yz_projection(w: str) -> str:
-    """Drop the X's and map Y -> U, Z -> D; the result is a Dyck word.
-
-    >>> yz_projection("XXYYXXZYZZYZ")
-    'UUDUDDUD'
-    """
-    if not is_3d_dyck(w):
-        raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
-    return w.translate(str.maketrans("YZ", "UD")).replace("X", "")
-
-
 def enumerate_dyck(k: int) -> Iterator[str]:
     """Dyck words of length 2k in lexicographic order (D < U)."""
     def walk(prefix: list[str], ups: int, height: int) -> Iterator[str]:

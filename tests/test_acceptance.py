@@ -62,14 +62,14 @@ def test_criterion_2_duck_count_triangle(capsys):
 
 
 def test_criterion_3_brute_force_cross_validation():
-    transform = underlined_triangle(4, "transform")
+    transform = underlined_triangle(5, "transform")
     ok = True
-    for k in range(1, 5):
+    for k in range(1, 6):
         for i in range(k):
             n = 3 * k - i
-            if n > 10:
+            if n > 11:
                 continue
-            ok = ok and red_vhc_count_brute(k, n) == transform.row(k)[i]
+            ok = ok and red_vhc_count_brute(k, n, bound=11) == transform.row(k)[i]
     # spot values among the checked cells
     ok = ok and red_vhc_count_brute(1, 3) == 1
     ok = ok and red_vhc_count_brute(2, 5) == 3
@@ -77,7 +77,9 @@ def test_criterion_3_brute_force_cross_validation():
     ok = ok and red_vhc_count_brute(3, 7) == 14
     ok = ok and red_vhc_count_brute(4, 9) == 84
     ok = ok and red_vhc_count_brute(4, 10) == 485
-    report(3, "brute-force cross-validation n<=10", ok)
+    ok = ok and red_vhc_count_brute(4, 11, bound=11) == 849
+    ok = ok and red_vhc_count_brute(5, 11, bound=11) == 594
+    report(3, "brute-force cross-validation n<=11", ok)
 
 
 def test_criterion_4_bijection_roundtrips(maximal_configs):
@@ -95,8 +97,8 @@ def test_criterion_4_bijection_roundtrips(maximal_configs):
 
 
 def test_criterion_5_counting_equation():
-    ok = all(verify_eq1(n)["equal"] for n in range(9))
-    report(5, "hook-count equation n<=8", ok)
+    ok = all(verify_eq1(n)["equal"] for n in range(11))
+    report(5, "hook-count equation n<=10", ok)
 
 
 def test_criterion_6_identity_suite():

@@ -161,6 +161,13 @@ def test_verify_identities_small():
     } <= ids
 
 
+def test_verify_reports_the_simulated_range():
+    # the tennis-ball process is simulated for n <= kmax - 1, capped at 6
+    for kmax, simulated in ((1, 0), (2, 1), (7, 6)):
+        entry = {e["id"]: e for e in verify_identities(kmax)["identities"]}["duck_k1_tennis_ball"]
+        assert entry["simulated_up_to"] == simulated
+
+
 def test_identity_values_spot_checks():
     # Hankel-style corner: Duck_{3,2} = C_3 C_5 - C_4^2
     assert duck_triangle(3).row(3)[2] == 5 * 42 - 14 ** 2 == 14

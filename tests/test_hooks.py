@@ -200,6 +200,28 @@ def test_verify_eq1_small():
         assert verify_eq1(n)["equal"]
 
 
+def test_reduced_walk_matches_filtering_every_vhc():
+    # the pruned search against the plain one: every VHC on every pi, kept
+    # when reduced, grouped by hook count, in the same order
+    for n in range(11):
+        kept = [c for pi in enumerate_av312(n) for c in enumerate_vhcs(pi) if is_reduced(c)]
+        assert list(enumerate_red_vhcs_av312(n)) == kept
+        for k in range(n + 1):
+            assert list(enumerate_red_vhcs_av312(n, k)) == [c for c in kept if c.k == k]
+
+
+def test_only_permutations_ending_in_n_carry_vhcs():
+    for n in range(1, 11):
+        for pi in enumerate_av312(n):
+            if pi[-1] != n:
+                assert count_vhcs(pi) == 0
+
+
+def test_verify_eq1_lhs_counts_every_permutation():
+    for n in range(10):
+        assert verify_eq1(n)["lhs"] == sum(count_vhcs(pi) for pi in enumerate_av312(n))
+
+
 def test_single_point_has_no_reduced_config():
     assert red_vhc_count_brute(0, 1) == 0
     assert sum(1 for _ in enumerate_red_vhcs_av312(0)) == 1  # empty config

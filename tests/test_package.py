@@ -48,7 +48,7 @@ PACKAGE_NAMES = {
     "is_reduced", "make_config", "reduce_config", "verify_eq1",
     "RewrittenDuckWord", "UnderlinedDuckWord", "decode", "duck_index", "enumerate_3d_dyck",
     "enumerate_dyck", "enumerate_rewritten", "enumerate_underlined", "rewrite",
-    "underline_all", "validate_underlined", "yz_projection",
+    "underline_all", "validate_underlined",
     "contract", "expand", "phi", "phi_inverse", "phi_prime", "phi_prime_inverse", "psi",
     "tennis_lawns",
     "CountTriangle", "IntPolynomial", "catalan", "catalan3d", "duck_k1_oracle",
@@ -94,7 +94,7 @@ def test_count_triangle_checks_its_rows():
 
 
 def test_package_names():
-    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 49
+    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 48
     assert set(duckwords.__all__) == PACKAGE_NAMES
     listed = {n for n in dir(duckwords)
               if not n.startswith("_") and not isinstance(getattr(duckwords, n), types.ModuleType)}

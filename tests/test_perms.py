@@ -11,7 +11,7 @@ from duckwords.perms import (
     parse_permutation,
 )
 
-CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
 def left_to_right_maxima(pi):
@@ -114,7 +114,7 @@ def test_avoids_312_matches_pattern_search():
 
 
 def test_enumerate_av312_counts_catalan():
-    for n in range(8):
+    for n in range(11):
         perms = list(enumerate_av312(n))
         assert len(perms) == CATALAN[n]
         assert perms == sorted(perms)  # lexicographic, duplicate-free

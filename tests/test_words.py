@@ -17,7 +17,6 @@ from duckwords.words import (
     rewrite,
     underline_all,
     validate_underlined,
-    yz_projection,
 )
 
 DUCK_ROWS = {1: (1,), 2: (2, 3), 3: (5, 23, 14), 4: (14, 131, 233, 84)}
@@ -46,8 +45,14 @@ def test_duck_index():
 
 
 def test_yz_projection():
-    assert yz_projection("XXYYXXZYZZYZ") == "UUDUDDUD"
-    assert yz_projection("XYZ") == "UD"
+    # drop the X's and map Y -> U, Z -> D: every 3D-Dyck word gives a Dyck word
+    def project(w):
+        return w.replace("X", "").replace("Y", "U").replace("Z", "D")
+
+    assert project("XXYYXXZYZZYZ") == "UUDUDDUD"
+    assert project("XYZ") == "UD"
+    for k in range(5):
+        assert all(is_dyck(project(w)) for w in enumerate_3d_dyck(k))
 
 
 def test_enumerate_dyck_counts():
