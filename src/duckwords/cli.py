@@ -126,6 +126,9 @@ def cmd_verify(args) -> int:
     from .counts import verify_identities
     from .hooks import verify_eq1
 
+    for flag, value in (("--eq1-max", args.eq1_max), ("--roundtrip-max", args.roundtrip_max)):
+        if value < 0:
+            raise InvalidInput(f"{flag} must be nonnegative, got {value}")
     report = {
         "identities": verify_identities(args.kmax),
         "eq1": [verify_eq1(n, args.brute_bound) for n in range(args.eq1_max + 1)],
@@ -184,9 +187,12 @@ def cmd_map(args) -> int:
         back = phi_prime(config).to_text() if args.roundtrip else None
     elif direction == "psi":
         try:
-            lawn = frozenset(int(tok) for tok in args.input.replace(",", " ").split())
+            balls = [int(tok) for tok in args.input.replace(",", " ").split()]
         except ValueError as exc:
             raise InvalidInput(f"bad lawn: {args.input!r}") from exc
+        lawn = frozenset(balls)
+        if len(lawn) != len(balls):
+            raise InvalidInput(f"a ball is listed twice: {args.input!r}")
         forward = psi(lawn, len(lawn))
         back = None
     else:  # pragma: no cover - argparse restricts choices

@@ -29,7 +29,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from ._record import Record, set_field
-from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit
 
 # duck_triangle refuses rows beyond this k; the recurrence takes about a
 # second to reach it.
@@ -197,9 +197,6 @@ def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
 
         rows = []
         for k in range(1, kmax + 1):
-            if 3 * k - (k - 1) > DEFAULT_BRUTE_BOUND:
-                raise ResourceLimit(f"row {k} needs permutations of size {2 * k + 1} "
-                                    f"> bound {DEFAULT_BRUTE_BOUND}")
             rows.append(tuple(red_vhc_count_brute(k, 3 * k - i) for i in range(k)))
         return CountTriangle(tuple(rows))
     raise InvalidInput(f"unknown method: {method!r}")

@@ -329,6 +329,8 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
 
 def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:
     """|RedVHC_k(Av_n(312))| by exhaustive enumeration."""
+    if k < 0:
+        raise InvalidInput(f"k must be nonnegative, got {k}")
     if n > bound:
         raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")
     return sum(1 for _ in enumerate_red_vhcs_av312(n, k))

@@ -7,21 +7,29 @@ every height 1..3k belongs to exactly one of descent bottom, SW endpoint,
 NE endpoint, and the word read off by increasing height (X/Y/Z
 respectively) is a 3D-Dyck word.
 
-Configurations come from `make_config`/`from_json` and words from the
-`words` parsers; a bare HookConfig is trusted to be well formed.  Each public
-map checks its precondition once, then runs a private core that trusts it;
-phi_prime and phi_prime_inverse chain the cores.  Outputs are not re-checked:
-phi's image is a 3D-Dyck word and phi_prime's a valid underlined word by
-theorems of the paper, which the inverse maps' input checks assert in every
-roundtrip test.
+A reduced configuration with fewer points has SW endpoints with a second
+role; phi_prime splits each off onto a new point one column to the right,
+applies phi and underlines the new heights.  Each direction is one pass.  The
+reader labels heights upward and writes a moved SW endpoint as an underlined
+y just above its anchor: the point itself when it is a NE end, else the SW end
+of its left neighbour (a descent top).  Taking hooks in SW order stacks a
+chain of anchors in order.  The builder fills positions left to right; each Y
+is followed by its descent bottom, the top of a stack of the X heights scanned
+so far (the largest unused X below it).  A y adds no point: its hook starts
+at the point before it.
+
+Configurations come from `make_config`/`from_json` and words from the `words`
+parsers; a bare HookConfig is trusted to be well formed.  Each public map
+checks its precondition once, then runs the reader or the builder.  Outputs
+are not re-checked: phi's image is a 3D-Dyck word and phi_prime's a valid
+underlined word by theorems of the paper, which the inverse maps' input checks
+assert in every roundtrip test.
 """
 from __future__ import annotations
 
-import bisect
-
 from .errors import InvalidInput
-from .hooks import HookConfig, require_reduced_312, require_valid
-from .perms import descent_table, normalize
+from .hooks import HookConfig, require_reduced_312
+from .perms import descent_table
 from .words import UnderlinedDuckWord, is_3d_dyck, is_dyck, validate_underlined
 
 
@@ -30,18 +38,24 @@ def phi(c: HookConfig) -> str:
     if c.n != 3 * c.k:
         raise InvalidInput(f"expected 3k points, got n={c.n} with k={c.k} hooks")
     require_reduced_312(c)
-    return _phi(c)
+    return _read(c)
 
 
-def _phi(c: HookConfig) -> str:
-    # X for a descent bottom, Y for a SW and Z for a NE endpoint; a reduced
-    # configuration on 3k points gives each point exactly one of these roles.
+def _read(c: HookConfig) -> str:
+    # X: descent bottom, Z: NE end, Y: pure SW end, y: a moved SW end
+    perm = c.perm
     labels = [""] * c.n
-    for _, j in descent_table(c.perm):
-        labels[c.value_at(j) - 1] = "X"
-    for a, b in c.hooks:
-        labels[c.value_at(a) - 1] = "Y"
-        labels[c.value_at(b) - 1] = "Z"
+    for _, j in descent_table(perm):
+        labels[perm[j - 1] - 1] = "X"
+    for _, b in c.hooks:
+        labels[perm[b - 1] - 1] = "Z"
+    sw_slot = [0] * (c.n + 1)  # sw_slot[a]: index of the label holding a's SW end
+    for a, _ in c.hooks:
+        h = perm[a - 1] - 1
+        if labels[h] == "X":
+            h = sw_slot[a - 1]
+        labels[h] += "y" if labels[h] else "Y"
+        sw_slot[a] = h
     return "".join(labels)
 
 
@@ -57,28 +71,32 @@ def phi_inverse(w: str) -> HookConfig:
     """
     if not is_3d_dyck(w):
         raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
-    return _phi_inverse(w)
+    return _build(w)
 
 
-def _phi_inverse(w: str) -> HookConfig:
-    # Every prefix of w has at least as many X's as Y's, so an unused X
-    # height is always left below a Y.
-    unused_x = [h for h, ch in enumerate(w, start=1) if ch == "X"]
+def _build(text: str) -> HookConfig:
+    # text is valid, underlined Y's written y, so no pop meets an empty stack
     values: list[int] = []
-    stack: list[int] = []  # heights of unmatched SW endpoints
-    hook_heights: list[tuple[int, int]] = []
-    for h, ch in enumerate(w, start=1):
-        if ch == "X":
+    bottoms: list[int] = []  # unused X heights, largest on top
+    open_sw: list[int] = []  # positions of unmatched SW endpoints
+    hooks: list[tuple[int, int]] = []
+    h = 0  # height in the contracted configuration
+    for ch in text:
+        if ch == "y":
+            open_sw.append(len(values))
+            values.append(bottoms.pop())
             continue
-        values.append(h)
-        if ch == "Y":
-            stack.append(h)
-            values.append(unused_x.pop(bisect.bisect_left(unused_x, h) - 1))
+        h += 1
+        if ch == "X":
+            bottoms.append(h)
+        elif ch == "Y":
+            values.append(h)
+            open_sw.append(len(values))
+            values.append(bottoms.pop())
         else:
-            hook_heights.append((stack.pop(), h))
-    pos = {v: i for i, v in enumerate(values, start=1)}
-    hooks = tuple(sorted((pos[y], pos[z]) for y, z in hook_heights))
-    return HookConfig(tuple(values), hooks)
+            values.append(h)
+            hooks.append((open_sw.pop(), len(values)))
+    return HookConfig(tuple(values), tuple(sorted(hooks)))
 
 
 def expand(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
@@ -90,78 +108,35 @@ def expand(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
 
     Returns the maximal configuration and the set of inserted heights.
     """
-    require_reduced_312(c)
-    return _expand(c)
-
-
-def _expand(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
-    # Each step gives one hook a pure SW endpoint and leaves the others'
-    # roles alone, so the loop ends after at most k steps.
-    vals = list(c.perm)
-    hooks = [(a - 1, b - 1) for a, b in c.hooks]
-    inserted: list[int] = []  # indices into vals, updated as we insert
-    while True:
-        ne = {b for _, b in hooks}
-        bottoms = {q for q in range(1, len(vals)) if vals[q - 1] > vals[q]}
-        doubly = [a for a, _ in hooks if a in ne or a in bottoms]
-        if not doubly:
-            break
-        p = min(doubly)
-        ref = vals[p] if p in ne else vals[p - 1]
-        # make room for the new height ref + 1 just above ref
-        vals = [v + 1 if v > ref else v for v in vals]
-        vals.insert(p + 1, ref + 1)
-        inserted = [q + (q > p) for q in inserted] + [p + 1]
-        # shift the positions right of p; the hook on p moves onto p + 1
-        hooks = [(a + (a >= p), b + (b > p)) for a, b in hooks]
-    out = HookConfig(tuple(vals), tuple(sorted((a + 1, b + 1) for a, b in hooks)))
-    return out, frozenset(vals[q] for q in inserted)
+    u = phi_prime(c)
+    return _build(u.word), u.underlines
 
 
 def contract(cp: HookConfig, inserted: frozenset[int] | set[int]) -> HookConfig:
     """
     Inverse of expand: delete the points at the inserted heights and move
     each orphaned hook's SW end onto the point one column to the left.
+
+    Accepts exactly the image of expand: phi(cp) must be defined, with
+    each inserted height a Y not preceded by an X.
     """
-    require_valid(cp)
-    return _contract(cp, inserted)
-
-
-def _contract(cp: HookConfig, inserted: frozenset[int] | set[int]) -> HookConfig:
-    pos_of = {cp.value_at(p): p for p in range(1, cp.n + 1)}
-    if not set(inserted) <= pos_of.keys():
-        raise InvalidInput(f"no point at heights {sorted(set(inserted) - pos_of.keys())}")
-    removed = {pos_of[h] for h in inserted}
-    new_sw = {}
-    for a, b in cp.hooks:
-        if b in removed:
-            raise InvalidInput("cannot remove a NE endpoint")
-        if a in removed:
-            if a - 1 in removed or a == 1:
-                raise InvalidInput("removal leaves no valid reattachment")
-            new_sw[(a, b)] = a - 1
-    keep = [p for p in range(1, cp.n + 1) if p not in removed]
-    newpos = {old: i for i, old in enumerate(keep, start=1)}
-    perm = normalize([cp.value_at(p) for p in keep])
-    hooks = tuple(sorted(
-        (newpos[new_sw.get((a, b), a)], newpos[b]) for a, b in cp.hooks
-    ))
-    return HookConfig(perm, hooks)
+    return phi_prime_inverse(UnderlinedDuckWord(phi(cp), frozenset(inserted)))
 
 
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:
     """Underlined duck word of any reduced 312-avoiding configuration:
     phi of the expansion, with the inserted heights underlined."""
     require_reduced_312(c)
-    cp, heights = _expand(c)
-    return UnderlinedDuckWord(_phi(cp), heights)
+    text = _read(c)
+    underlines = frozenset(p for p, ch in enumerate(text, start=1) if ch == "y")
+    return UnderlinedDuckWord(text.upper(), underlines)
 
 
 def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:
     """Two-sided inverse of phi_prime."""
     if not validate_underlined(u):
         raise InvalidInput("not a valid underlined duck word")
-    return _contract(_phi_inverse(u.word), u.underlines)
+    return _build(u.to_text())
 
 
 # --- tennis-ball process ---------------------------------------------------

@@ -216,6 +216,8 @@ def test_duck_index_out_of_range_exit_2(capsys):
             assert (code, out) == (2, "")
     code, out = run(capsys, "count", "duck", "--k", "3", "--i", "2")
     assert (code, out.strip()) == (0, "14")
+    code, out = run(capsys, "count", "redvhc", "--k", "-1", "--n", "3")
+    assert (code, out) == (2, "")
 
 
 def test_tennis_lawns_count_bounded(capsys):
@@ -231,6 +233,8 @@ def test_map_psi(capsys):
     assert (code, out.strip()) == (0, "U" + "U" * 12 + "D" * 12 + "D")
     assert main(["map", "psi", "13,14"]) == 2
     assert main(["map", "psi", "3,4"]) == 2
+    # two listed balls are not a one-ball lawn
+    assert main(["map", "psi", "1,1"]) == 2
 
 
 def test_resource_limit_exit_3(capsys):
@@ -278,6 +282,13 @@ def test_verify_small(capsys, tmp_path):
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["all_pass"]
+
+
+def test_verify_negative_range_exit_2(capsys):
+    for argv in (["--eq1-max", "-1", "--roundtrip-max", "-3"],
+                 ["--eq1-max", "-1"], ["--roundtrip-max", "-3"], ["--kmax", "-1"]):
+        code, out = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
 
 
 def test_verify_to_transfer_kmax(capsys, tmp_path):

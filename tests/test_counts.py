@@ -62,6 +62,8 @@ def test_enum_limit_raises():
         underlined_triangle(9, "enumerate")
     with pytest.raises(ResourceLimit):
         duck_triangle(TRANSFER_KMAX + 1)
+    with pytest.raises(ResourceLimit, match="n=12 exceeds brute-force bound 10"):
+        underlined_triangle(4, "brute_vhc")
 
 
 def test_triangle_negative_kmax_raises():

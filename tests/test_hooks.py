@@ -224,4 +224,6 @@ def test_verify_eq1_lhs_counts_every_permutation():
 
 def test_single_point_has_no_reduced_config():
     assert red_vhc_count_brute(0, 1) == 0
+    with pytest.raises(InvalidInput):
+        red_vhc_count_brute(-1, 3)
     assert sum(1 for _ in enumerate_red_vhcs_av312(0)) == 1  # empty config

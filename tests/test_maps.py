@@ -4,7 +4,14 @@ import pytest
 
 from duckwords.counts import catalan
 from duckwords.errors import InvalidInput
-from duckwords.hooks import hooks_projection, is_reduced, make_config, reduce_config
+from duckwords.hooks import (
+    HookConfig,
+    enumerate_red_vhcs_av312,
+    hooks_projection,
+    is_reduced,
+    make_config,
+    reduce_config,
+)
 from duckwords.maps import (
     contract,
     expand,
@@ -79,8 +86,14 @@ def test_maps_reject_configs_outside_their_domain():
     for f in (is_reduced, reduce_config):
         with pytest.raises(InvalidInput):
             f(INVALID_CONFIG)
-    with pytest.raises(InvalidInput):
-        contract(INVALID_CONFIG, frozenset())
+    # contract accepts exactly the image of expand
+    expanded, inserted = expand(FIG7_CONFIG)
+    for c, heights in ((INVALID_CONFIG, frozenset()),
+                       (FIG7_CONFIG, frozenset()),    # valid but not maximal
+                       (expanded, inserted | {1}),    # an X height
+                       (expanded, inserted | {13})):  # no such height
+        with pytest.raises(InvalidInput):
+            contract(c, heights)
     assert is_reduced(CONTAINS_312_CONFIG) and not is_reduced(UNREDUCED_CONFIG)
 
 
@@ -105,6 +118,47 @@ def test_phi_prime_known_value():
 
 def test_phi_prime_inverse_known_value():
     assert phi_prime_inverse(UnderlinedDuckWord.parse(FIG7_UNDERLINED)) == FIG7_CONFIG
+
+
+def reference_expand(c):
+    """The paper's expansion, one split at a time: take the leftmost hook
+    whose SW endpoint is also a NE end or a descent bottom, insert a point
+    one column to its right, one height above the point itself (a NE end) or
+    its left neighbour (a descent bottom), and move the hook onto it."""
+    vals = list(c.perm)
+    hooks = [(a - 1, b - 1) for a, b in c.hooks]
+    inserted = []  # indices into vals, updated as points are inserted
+    while True:
+        ne = {b for _, b in hooks}
+        bottoms = {q for q in range(1, len(vals)) if vals[q - 1] > vals[q]}
+        doubly = [a for a, _ in hooks if a in ne or a in bottoms]
+        if not doubly:
+            break
+        p = min(doubly)
+        ref = vals[p] if p in ne else vals[p - 1]
+        vals = [v + 1 if v > ref else v for v in vals]
+        vals.insert(p + 1, ref + 1)
+        inserted = [q + (q > p) for q in inserted] + [p + 1]
+        hooks = [(a + (a >= p), b + (b > p)) for a, b in hooks]
+    out = HookConfig(tuple(vals), tuple(sorted((a + 1, b + 1) for a, b in hooks)))
+    return out, frozenset(vals[q] for q in inserted)
+
+
+def test_phi_prime_follows_the_papers_expansion():
+    # every reduced 312-avoiding configuration with n <= 10
+    images = {}
+    for n in range(11):
+        for c in enumerate_red_vhcs_av312(n):
+            cp, inserted = reference_expand(c)
+            u = phi_prime(c)
+            assert u == UnderlinedDuckWord(phi(cp), inserted)
+            assert expand(c) == (cp, inserted)
+            assert contract(cp, inserted) == c
+            images.setdefault((c.k, n), set()).add(u)
+    cells = {(k, 3 * k - i) for k in range(1, 11) for i in range(k) if 3 * k - i <= 10}
+    assert set(images) == cells | {(0, 0)}
+    for (k, n), found in images.items():
+        assert found == set(enumerate_underlined(k, 3 * k - n))
 
 
 def test_phi_prime_roundtrip_exhaustive():

@@ -5,6 +5,7 @@ checks of make_config on random malformed input, and the CLI on random JSON.
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,18 +27,24 @@ KMAX = 30
 ROUNDTRIPS = settings(max_examples=60, deadline=None)
 
 
-@st.composite
-def dyck3_words(draw, kmax=KMAX):
-    """A 3D-Dyck word of length 3k, k <= kmax, one legal letter at a time."""
-    k = draw(st.integers(0, kmax))
+def dyck3_letters(k, choose):
+    """A 3D-Dyck word of length 3k, one letter at a time, each picked by
+    `choose` from the letters legal there."""
     x = y = z = 0
     out = []
     while z < k:
         legal = [ch for ch, ok in (("X", x < k), ("Y", y < x), ("Z", z < y)) if ok]
-        ch = draw(st.sampled_from(legal))
+        ch = choose(legal)
         x, y, z = x + (ch == "X"), y + (ch == "Y"), z + (ch == "Z")
         out.append(ch)
     return "".join(out)
+
+
+@st.composite
+def dyck3_words(draw, kmax=KMAX):
+    """A 3D-Dyck word of length 3k, k <= kmax, one legal letter at a time."""
+    k = draw(st.integers(0, kmax))
+    return dyck3_letters(k, lambda legal: draw(st.sampled_from(legal)))
 
 
 @st.composite
@@ -73,6 +80,20 @@ def test_rewrite_decode_roundtrip_random(w):
     r = rewrite(u)
     assert r.i == u.i
     assert decode(r) == u
+
+
+def test_roundtrips_at_large_k():
+    # ten seeded words at k = 200 and ten at k = 400
+    rng = random.Random(2020)
+    for k in [200] * 10 + [400] * 10:
+        w = dyck3_letters(k, rng.choice)
+        c = phi_inverse(w)
+        assert c.n == 3 * k and phi(c) == w
+        u = UnderlinedDuckWord(w, frozenset(p for p in non_x_preceded_ys(w) if rng.random() < 0.5))
+        c = phi_prime_inverse(u)
+        assert c.n == 3 * k - u.i and phi_prime(c) == u
+        u = underline_all(w)
+        assert decode(rewrite(u)) == u
 
 
 # --- make_config on random malformed input ----------------------------------
