@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit, check_brute_bound
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -263,8 +263,7 @@ def _bounded_perm(args):
     from .perms import parse_permutation
 
     pi = parse_permutation(_require(args, "perm"))
-    if len(pi) > args.brute_bound:
-        raise ResourceLimit(f"n={len(pi)} exceeds brute-force bound {args.brute_bound}")
+    check_brute_bound(len(pi), args.brute_bound)
     return pi
 
 

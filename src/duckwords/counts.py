@@ -100,10 +100,11 @@ class CountTriangle(Record):
 
     @classmethod
     def from_csv(cls, text: str) -> "CountTriangle":
-        rows = []
-        for line in csv.reader(io.StringIO(text)):
-            if line:
-                rows.append(tuple(int(tok) for tok in line))
+        try:
+            rows = [tuple(int(tok) for tok in line)
+                    for line in csv.reader(io.StringIO(text)) if line]
+        except (ValueError, csv.Error) as exc:
+            raise InvalidInput(f"malformed count triangle: {exc}") from exc
         return cls(tuple(rows))
 
 
@@ -328,7 +329,10 @@ def load_golden_triangle(name: str, directory: str | Path | None = None) -> Coun
         path = Path(directory) / filename
         if not path.is_file():
             raise InvalidInput(f"golden triangle not found: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"golden triangle is not UTF-8 text: {path}") from exc
     else:
         text = (resources.files("duckwords.data") / filename).read_text()
     return CountTriangle.from_csv(text)

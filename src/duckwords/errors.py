@@ -12,3 +12,11 @@ class InvalidInput(ValueError):
 
 class ResourceLimit(RuntimeError):
     """Raised when a computation would exceed the configured brute-force bound."""
+
+
+def check_brute_bound(n: int, bound: int) -> None:
+    """InvalidInput for a negative bound; ResourceLimit if n exceeds it."""
+    if bound < 0:
+        raise InvalidInput(f"brute-force bound must be nonnegative, got {bound}")
+    if n > bound:
+        raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")

@@ -24,9 +24,11 @@ JSON form of a configuration: {"perm": [ints], "hooks": [[sw, ne], ...]}.
 Outside data becomes a HookConfig through `make_config` or `from_json`, which
 check the permutation (as `parse_permutation` does) and that every hook is an
 int pair (a, b) with 1 <= a < b <= n, pi_a < pi_b and a SW position of its
-own.  The package trusts a HookConfig to be well formed, so a bare
-`HookConfig(...)` is for values already checked.  Validity, conditions
-(i)-(iii), is a separate question for `check_valid`.
+own, and list the hooks in SW order.  The package trusts a HookConfig to be
+well formed, SW order included, so a bare `HookConfig(...)` is for values
+already checked; every map rejects one whose hooks are not in SW order.
+Validity, conditions (i)-(iii), is a separate question for `check_valid`,
+which the maps do not call.
 """
 from __future__ import annotations
 
@@ -35,10 +37,9 @@ from math import comb
 from typing import Iterator, Sequence
 
 from ._record import Record, set_field
-from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, check_brute_bound
 from .perms import (
     Permutation,
-    avoids_312,
     check_permutation,
     descent_table,
     enumerate_av312,
@@ -164,25 +165,11 @@ def require_valid(c: HookConfig) -> None:
         raise InvalidInput(f"configuration is not valid (condition {report.failed_condition})")
 
 
-def _covers_all(c: HookConfig) -> bool:
-    # the reduced predicate, for a configuration already known to be valid
-    keep = c.endpoint_positions() | {j for _, j in descent_table(c.perm)}
-    return len(keep) == c.n
-
-
 def is_reduced(c: HookConfig) -> bool:
     """True iff every plot point is a hook endpoint or a descent bottom."""
     require_valid(c)
-    return _covers_all(c)
-
-
-def require_reduced_312(c: HookConfig) -> None:
-    """Raise InvalidInput unless c is valid, reduced and 312-avoiding."""
-    require_valid(c)
-    if not avoids_312(c.perm):
-        raise InvalidInput("permutation contains a 312 pattern")
-    if not _covers_all(c):
-        raise InvalidInput("configuration is not reduced")
+    keep = c.endpoint_positions() | {j for _, j in descent_table(c.perm)}
+    return len(keep) == c.n
 
 
 def _ne_candidates(pi: Permutation, top: int) -> list[int]:
@@ -275,11 +262,11 @@ def hooks_projection(c: HookConfig) -> str:
     """
     Dyck word of a reduced maximal configuration: scanning positions left to
     right, each SW endpoint contributes U and each NE endpoint contributes D;
-    matched U/D pairs are the hooks.
+    matched U/D pairs are the hooks.  InvalidInput outside phi's domain.
     """
-    if c.n != 3 * c.k:
-        raise InvalidInput(f"expected 3k points, got n={c.n} with k={c.k} hooks")
-    require_reduced_312(c)
+    from .maps import phi
+
+    phi(c)
     sw, ne = c.sw_positions(), c.ne_positions()
     return "".join(
         "U" if p in sw else "D" for p in range(1, c.n + 1) if p in sw or p in ne
@@ -331,8 +318,7 @@ def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int
     """|RedVHC_k(Av_n(312))| by exhaustive enumeration."""
     if k < 0:
         raise InvalidInput(f"k must be nonnegative, got {k}")
-    if n > bound:
-        raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")
+    check_brute_bound(n, bound)
     return sum(1 for _ in enumerate_red_vhcs_av312(n, k))
 
 
@@ -346,8 +332,7 @@ def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
     Both sides are computed exhaustively.  Returns a report dict with the
     two totals and the per-r reduced counts.
     """
-    if n > bound:
-        raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")
+    check_brute_bound(n, bound)
     lhs = sum(count_vhcs(pi) for pi in _av312_ending_in_n(n))
     reduced_counts = [sum(1 for _ in enumerate_red_vhcs_av312(r)) for r in range(n + 1)]
     rhs = sum(reduced_counts[r] * comb(n, r) for r in range(n + 1))

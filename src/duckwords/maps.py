@@ -19,26 +19,27 @@ so far (the largest unused X below it).  A y adds no point: its hook starts
 at the point before it.
 
 Configurations come from `make_config`/`from_json` and words from the `words`
-parsers; a bare HookConfig is trusted to be well formed.  Each public map
-checks its precondition once, then runs the reader or the builder.  Outputs
-are not re-checked: phi's image is a 3D-Dyck word and phi_prime's a valid
-underlined word by theorems of the paper, which the inverse maps' input checks
-assert in every roundtrip test.
+parsers; a bare HookConfig is trusted to be well formed, hooks in SW order
+included.  phi_prime alone decides the domain: c is reduced, valid and
+312-avoiding exactly when the word read off c is a valid underlined word that
+builds c again, as phi_prime is a bijection onto those words (a theorem of the
+paper, checked on every roundtrip output in the tests).  The other maps go
+through phi_prime or check their input word.
 """
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .hooks import HookConfig, require_reduced_312
+from .hooks import HookConfig
 from .perms import descent_table
 from .words import UnderlinedDuckWord, is_3d_dyck, is_dyck, validate_underlined
 
 
 def phi(c: HookConfig) -> str:
     """The 3D-Dyck word of a reduced maximal 312-avoiding configuration."""
-    if c.n != 3 * c.k:
+    u = phi_prime(c)
+    if u.underlines:
         raise InvalidInput(f"expected 3k points, got n={c.n} with k={c.k} hooks")
-    require_reduced_312(c)
-    return _read(c)
+    return u.word
 
 
 def _read(c: HookConfig) -> str:
@@ -126,10 +127,12 @@ def contract(cp: HookConfig, inserted: frozenset[int] | set[int]) -> HookConfig:
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:
     """Underlined duck word of any reduced 312-avoiding configuration:
     phi of the expansion, with the inserted heights underlined."""
-    require_reduced_312(c)
     text = _read(c)
     underlines = frozenset(p for p, ch in enumerate(text, start=1) if ch == "y")
-    return UnderlinedDuckWord(text.upper(), underlines)
+    u = UnderlinedDuckWord(text.upper(), underlines)
+    if not validate_underlined(u) or _build(text) != c:
+        raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
+    return u
 
 
 def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:

@@ -1,6 +1,8 @@
 import pytest
 
-from duckwords.hooks import enumerate_red_vhcs_av312
+from duckwords.errors import InvalidInput
+from duckwords.hooks import check_valid, enumerate_red_vhcs_av312, is_reduced
+from duckwords.perms import avoids_312
 
 BRUTE_KMAX = 4
 
@@ -13,3 +15,19 @@ def maximal_configs():
     return tuple(
         tuple(enumerate_red_vhcs_av312(3 * k, k)) for k in range(1, BRUTE_KMAX + 1)
     )
+
+
+def in_domain(c) -> bool:
+    """phi_prime's domain as the paper states it, checked directly: conditions
+    (i)-(iii), 312-avoiding and reduced.  phi's is the part with 3k points.
+    The reference for the rebuild check inside `maps.phi_prime`."""
+    return check_valid(c).valid and avoids_312(c.perm) and is_reduced(c)
+
+
+def accepts(f, c) -> bool:
+    """Whether f(c) returns rather than raising InvalidInput."""
+    try:
+        f(c)
+    except InvalidInput:
+        return False
+    return True

@@ -289,6 +289,11 @@ def test_verify_negative_range_exit_2(capsys):
                  ["--eq1-max", "-1"], ["--roundtrip-max", "-3"], ["--kmax", "-1"]):
         code, out = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
+    # a negative brute-force bound is bad input, not a resource limit
+    for argv in (["verify"], ["count", "redvhc", "--k", "1", "--n", "3"],
+                 ["count", "vhc", "--perm", "213"], ["enumerate", "vhc", "--perm", "213"]):
+        code, out = run(capsys, *argv, "--brute-bound", "-1")
+        assert (code, out) == (2, "")
 
 
 def test_verify_to_transfer_kmax(capsys, tmp_path):

@@ -150,6 +150,11 @@ def test_golden_dir_override(tmp_path):
     assert load_golden_triangle("duck", tmp_path).row(2) == (2, 3)
     with pytest.raises(InvalidInput):
         load_golden_triangle("redvhc", tmp_path)
+    # a cell that is not an integer, and bytes that are not UTF-8
+    for content in (b"1\n2,x\n", b"1\n2,\xff\n"):
+        (tmp_path / "duck_triangle.csv").write_bytes(content)
+        with pytest.raises(InvalidInput):
+            load_golden_triangle("duck", tmp_path)
 
 
 def test_verify_identities_small():

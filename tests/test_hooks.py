@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import accepts, in_domain
 
 from duckwords.errors import InvalidInput
 from duckwords.hooks import (
@@ -16,6 +17,7 @@ from duckwords.hooks import (
     reduce_config,
     verify_eq1,
 )
+from duckwords.maps import phi, phi_prime
 from duckwords.perms import avoids_312, enumerate_av312
 from duckwords.words import enumerate_dyck
 
@@ -103,11 +105,14 @@ def _valid_by_drawing(pi, hooks) -> bool:
 
 def test_validity_matches_the_drawing():
     # every permutation with n <= 8 and every 312-avoider with n = 9; each
-    # choice of one NE position j with pi_j > pi_top per descent top
+    # choice of one NE position j with pi_j > pi_top per descent top.  The
+    # maps decide their domain by rebuilding, without check_valid: each
+    # accepts exactly the configurations the direct checks put in it.
     perms = itertools.chain(
         (pi for n in range(9) for pi in itertools.permutations(range(1, n + 1))),
         enumerate_av312(9),
     )
+    accepted = [0, 0]  # by phi_prime, by phi
     for pi in perms:
         tops = [i for i in range(1, len(pi)) if pi[i - 1] > pi[i]]
         choices = [[j for j in range(t + 1, len(pi) + 1) if pi[j - 1] > pi[t - 1]]
@@ -115,11 +120,18 @@ def test_validity_matches_the_drawing():
         valid = []
         for ne in itertools.product(*choices):
             hooks = list(zip(tops, ne))
+            c = make_config(pi, hooks)
             expected = _valid_by_drawing(pi, hooks)
-            assert check_valid(make_config(pi, hooks)).valid == expected, (pi, hooks)
+            assert check_valid(c).valid == expected, (pi, hooks)
             if expected:
                 valid.append(tuple(hooks))
+            inside = in_domain(c)
+            maximal = inside and c.n == 3 * c.k
+            assert (accepts(phi_prime, c), accepts(phi, c)) == (inside, maximal), (pi, hooks)
+            accepted[0] += inside
+            accepted[1] += maximal
         assert [c.hooks for c in enumerate_vhcs(pi)] == valid, pi
+    assert accepted == [201, 49]
 
 
 def test_condition_i_wrong_sw():

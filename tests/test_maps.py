@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import accepts, in_domain
 
 from duckwords.counts import catalan
 from duckwords.errors import InvalidInput
@@ -22,6 +23,7 @@ from duckwords.maps import (
     psi,
     tennis_lawns,
 )
+from duckwords.perms import enumerate_av312
 from duckwords.words import UnderlinedDuckWord, enumerate_3d_dyck, enumerate_underlined
 
 FIG5_CONFIG = make_config(
@@ -63,7 +65,9 @@ def test_phi_roundtrip_exhaustive(maximal_configs):
         assert len(configs) == len(words)
         assert {phi(c) for c in configs} == set(words)
         for w in words:
-            assert phi(phi_inverse(w)) == w
+            c = phi_inverse(w)
+            assert in_domain(c) and c.n == 3 * k
+            assert phi(c) == w
         for c in configs:
             assert phi_inverse(phi(c)) == c
 
@@ -78,8 +82,31 @@ UNREDUCED_CONFIG = make_config((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)])
 CONTAINS_312_CONFIG = make_config((3, 1, 4, 2, 5, 6), [(1, 6), (3, 5)])  # reduced, 3k points
 
 
+def test_maps_decide_the_domain_on_every_hook_subset():
+    # every set of hooks with distinct SW positions on every permutation with
+    # n <= 5 and every 312-avoider with n = 6, most of them failing (i)
+    perms = itertools.chain(
+        (pi for n in range(6) for pi in itertools.permutations(range(1, n + 1))),
+        enumerate_av312(6),
+    )
+    seen = 0
+    for pi in perms:
+        n = len(pi)
+        choices = [[None] + [b for b in range(a + 1, n + 1) if pi[b - 1] > pi[a - 1]]
+                   for a in range(1, n + 1)]
+        for ne in itertools.product(*choices):
+            c = make_config(pi, [(a, b) for a, b in enumerate(ne, start=1) if b])
+            inside = in_domain(c)
+            maximal = inside and c.n == 3 * c.k
+            assert (accepts(phi_prime, c), accepts(phi, c)) == (inside, maximal), c
+            seen += 1
+    assert seen == 21531
+
+
 def test_maps_reject_configs_outside_their_domain():
-    for c in (INVALID_CONFIG, UNREDUCED_CONFIG, CONTAINS_312_CONFIG):
+    # a bare HookConfig whose hooks are not in SW order is not well formed
+    unordered = HookConfig(FIG5_CONFIG.perm, FIG5_CONFIG.hooks[::-1])
+    for c in (INVALID_CONFIG, UNREDUCED_CONFIG, CONTAINS_312_CONFIG, unordered):
         for f in (phi, phi_prime, expand, hooks_projection):
             with pytest.raises(InvalidInput):
                 f(c)
@@ -166,7 +193,7 @@ def test_phi_prime_roundtrip_exhaustive():
         for i in range(k):
             for u in enumerate_underlined(k, i):
                 c = phi_prime_inverse(u)
-                assert is_reduced(c)
+                assert in_domain(c)
                 assert c.n == 3 * k - i
                 assert phi_prime(c) == u
 

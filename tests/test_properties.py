@@ -8,6 +8,7 @@ import json
 import random
 
 import pytest
+from conftest import in_domain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,7 +60,7 @@ def underlined_words(draw):
 @given(dyck3_words())
 def test_phi_roundtrip_random(w):
     c = phi_inverse(w)
-    assert c.n == 3 * c.k
+    assert in_domain(c) and c.n == 3 * c.k
     assert phi(c) == w
     assert phi_inverse(phi(c)) == c
 
@@ -68,7 +69,7 @@ def test_phi_roundtrip_random(w):
 @given(underlined_words())
 def test_phi_prime_roundtrip_random(u):
     c = phi_prime_inverse(u)
-    assert c.n == 3 * u.k - u.i
+    assert in_domain(c) and c.n == 3 * u.k - u.i
     assert phi_prime(c) == u
     assert phi_prime_inverse(phi_prime(c)) == c
 
@@ -88,10 +89,10 @@ def test_roundtrips_at_large_k():
     for k in [200] * 10 + [400] * 10:
         w = dyck3_letters(k, rng.choice)
         c = phi_inverse(w)
-        assert c.n == 3 * k and phi(c) == w
+        assert in_domain(c) and c.n == 3 * k and phi(c) == w
         u = UnderlinedDuckWord(w, frozenset(p for p in non_x_preceded_ys(w) if rng.random() < 0.5))
         c = phi_prime_inverse(u)
-        assert c.n == 3 * k - u.i and phi_prime(c) == u
+        assert in_domain(c) and c.n == 3 * k - u.i and phi_prime(c) == u
         u = underline_all(w)
         assert decode(rewrite(u)) == u
 
