@@ -123,16 +123,20 @@ def _check_golden(kmax: int, golden_dir: str | None) -> dict:
 def cmd_verify(args) -> int:
     import json
 
-    from .counts import verify_identities
+    from .counts import ENUM_KMAX, verify_identities
     from .hooks import verify_eq1
 
     for flag, value in (("--eq1-max", args.eq1_max), ("--roundtrip-max", args.roundtrip_max)):
         if value < 0:
             raise InvalidInput(f"{flag} must be nonnegative, got {value}")
+    # the roundtrips list every word, about 20 times as many at each k
+    roundtrip_max = min(args.kmax, args.roundtrip_max)
+    if roundtrip_max > ENUM_KMAX:
+        raise ResourceLimit(f"roundtrips to k={roundtrip_max} exceed limit {ENUM_KMAX}")
     report = {
         "identities": verify_identities(args.kmax),
         "eq1": [verify_eq1(n, args.brute_bound) for n in range(args.eq1_max + 1)],
-        "roundtrips": _run_roundtrips(min(args.kmax, args.roundtrip_max)),
+        "roundtrips": _run_roundtrips(roundtrip_max),
         "golden": _check_golden(args.kmax, args.golden_dir),
     }
     report["all_pass"] = (
@@ -293,15 +297,32 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    """Print how many items of a kind there are.  Every kind but `redvhc`,
+    `vhc` and `tennis-lawns` is read from a closed form or a recurrence."""
     kind = args.kind
-    if kind == "catalan":
+    if kind in ("catalan", "dyck"):
         from .counts import catalan
 
         value = catalan(_require(args, "k"))
-    elif kind == "catalan3d":
+    elif kind in ("catalan3d", "3d-dyck"):
         from .counts import catalan3d
 
         value = catalan3d(_require(args, "k"))
+    elif kind == "av312":
+        from .counts import _check_catalan_k, catalan
+
+        n = _require(args, "n")
+        _check_catalan_k(n, "n")
+        value = catalan(n)
+    elif kind in ("duck", "rewritten", "underlined"):
+        from .counts import duck_triangle, underlined_triangle
+        from .words import check_duck_range
+
+        k, i = _require(args, "k"), _require(args, "i")
+        check_duck_range(k, i)
+        # rewrite maps the (k, i)-duck words one to one onto the rewritten ones
+        triangle = underlined_triangle if kind == "underlined" else duck_triangle
+        value = triangle(k).row(k)[i] if k else 1
     elif kind == "redvhc":
         from .hooks import red_vhc_count_brute
 
@@ -314,12 +335,10 @@ def cmd_count(args) -> int:
         from .counts import tennis_ball_count
 
         value = tennis_ball_count(_require(args, "m"))
-    elif kind == "tennis-weighted":
+    else:  # tennis-weighted
         from .counts import tennis_ball_weighted
 
         value = tennis_ball_weighted(_require(args, "m"))
-    else:
-        value = sum(1 for _ in _enumerated_items(args))
     print(value)
     return EXIT_OK
 

@@ -9,12 +9,13 @@ triangle counts 3D-Dyck words of length 3k with exactly i Y's not preceded
 by an X.
 
 The duck triangle is counted by a recurrence, not by listing words.  Whether
-an appended Y raises i depends only on the letter before it, so a 3D-Dyck
-prefix is summed up by its letter counts (x, y, z) and whether it ends in an
-X; `duck_triangle` runs a dynamic program over those states, each holding
-its counts indexed by i, for k up to TRANSFER_KMAX.  The underlined and
-reduced-configuration rows, f_k and h_k all follow from it by the binomial
-transform and the shift.  Enumeration stays as the independent oracle
+an appended Y raises i depends only on the letter before it, and the
+prefixes that end in an X are the extensions of the state one X back; so
+`duck_triangle` runs a dynamic program over the letter counts (x, y, z)
+alone, each state packing its counts by i into one integer, for k up to
+TRANSFER_KMAX.  The underlined and reduced-configuration rows are its
+binomial transform, f_k(x) = h_k(x + 1), read off with
+`IntPolynomial.shift`.  Enumeration stays as the independent oracle
 (`underlined_triangle(method="enumerate")`), bounded by ENUM_KMAX.
 
 The enumerating modules are imported only by the functions here that call
@@ -31,9 +32,9 @@ from pathlib import Path
 from ._record import Record, set_field
 from .errors import InvalidInput, ResourceLimit
 
-# duck_triangle refuses rows beyond this k; the recurrence takes about a
-# second to reach it.
-TRANSFER_KMAX = 50
+# duck_triangle refuses rows beyond this k; the packed recurrence, whose
+# fields grow to catalan3d(k).bit_length() + 1 bits, takes about 0.5 s there.
+TRANSFER_KMAX = 80
 # underlined_triangle(method="enumerate") refuses rows beyond this k: each row
 # takes about 18 times as long as the one before, 5 s at k = 6.
 ENUM_KMAX = 7
@@ -118,51 +119,40 @@ def duck_triangle(kmax: int) -> CountTriangle:
     Duck counts by (k, i) for every k <= kmax.  A negative kmax raises
     InvalidInput, and one above TRANSFER_KMAX raises ResourceLimit.
 
-    A transfer-matrix recurrence over 3D-Dyck prefixes.  The state of a
-    prefix is its letter counts (x, y, z), with x >= y >= z, and whether its
-    last letter is an X; each state holds the number of prefixes reaching it
-    as a list indexed by i, the number of Y's so far not preceded by an X.
-    Appending X, Y or Z keeps x >= y >= z, and a Y appended after a Y or Z
-    shifts the list up by one.  Every prefix ending at (k, k, k) is a whole
-    word of length 3k with x <= k throughout, so one pass bounded by
-    x <= kmax gives every row: row k is the list at (k, k, k), whose last
-    letter is always a Z.  Only two layers of x are kept.
+    A transfer-matrix recurrence over 3D-Dyck prefixes, grouped by letter
+    counts (x, y, z), x >= y >= z.  A state holds one integer: bits
+    [i*w, (i+1)*w) count its prefixes with i Y's not preceded by an X.  A
+    prefix with x <= kmax extends to a distinct word of length 3*kmax, so
+    no field exceeds catalan3d(kmax) < 2**(w-1) and none overflows.  X and
+    Z keep i; Y raises it unless the prefix ends in an X, and those at
+    (x, y, z) are the prefixes at (x-1, y, z) plus an X, a subset field by
+    field, so the subtraction never borrows.  Row k is read at (k, k, k),
+    whose prefixes are the words of length 3k.  Two layers of x are kept.
     """
     _check_kmax(kmax)
     if kmax > TRANSFER_KMAX:
         raise ResourceLimit(f"kmax={kmax} exceeds recurrence limit {TRANSFER_KMAX}")
-    zero = [0] * kmax
-    rows = []
-    prev = []
+    w = catalan3d(kmax).bit_length() + 1
+    mask = (1 << w) - 1
+    rows, prev = [], []
     for x in range(kmax + 1):
-        # cur[y][z] = (counts of prefixes ending in X, counts of the others)
-        cur = []
+        cur = []  # cur[y][z]: the prefixes at (x, y, z), packed by i
         for y in range(x + 1):
             line = []
             for z in range(y + 1):
                 # append X to (x-1, y, z); the empty prefix starts the count
-                after_x = [a + b for a, b in zip(*prev[y][z])] if y < x else zero
-                other = [1] + zero[1:] if x == 0 else zero
+                n = prev[y][z] if y < x else int(x == 0)
                 if z < y:  # append Y to (x, y-1, z)
-                    a, b = cur[y - 1][z]
-                    other = [o + p + q for o, p, q in zip(other, a, [0] + b)]
+                    after_x = prev[y - 1][z]
+                    n += after_x + ((cur[y - 1][z] - after_x) << w)
                 if z:  # append Z to (x, y, z-1)
-                    a, b = line[z - 1]
-                    other = [o + p + q for o, p, q in zip(other, a, b)]
-                line.append((after_x, other))
+                    n += line[z - 1]
+                line.append(n)
             cur.append(line)
         if x:
-            rows.append(tuple(cur[x][x][1][:x]))
+            rows.append(tuple((cur[x][x] >> (i * w)) & mask for i in range(x)))
         prev = cur
     return CountTriangle(tuple(rows))
-
-
-def binomial_transform_row(duck_row: tuple[int, ...]) -> tuple[int, ...]:
-    """Underlined counts from duck counts: entry i is sum_j C(j, i) duck_j."""
-    k = len(duck_row)
-    return tuple(
-        sum(comb(j, i) * duck_row[j] for j in range(i, k)) for i in range(k)
-    )
 
 
 def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
@@ -181,7 +171,7 @@ def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
     _check_kmax(kmax)
     if method == "transform":
         duck = duck_triangle(kmax)
-        return CountTriangle(tuple(binomial_transform_row(r) for r in duck.rows))
+        return CountTriangle(tuple(IntPolynomial(r).shift(1).coefficients for r in duck.rows))
     if method == "enumerate":
         from .words import enumerate_underlined
 
@@ -323,7 +313,8 @@ def duck_k1_oracle(k: int) -> int:
 
 def load_golden_triangle(name: str, directory: str | Path | None = None) -> CountTriangle:
     """Load a shipped golden triangle ("redvhc" or "duck"); an explicit
-    directory overrides the packaged data files."""
+    directory overrides the packaged data files.  A triangle with no rows
+    would check nothing, so it raises InvalidInput."""
     filename = f"{name}_triangle.csv"
     if directory is not None:
         path = Path(directory) / filename
@@ -335,7 +326,10 @@ def load_golden_triangle(name: str, directory: str | Path | None = None) -> Coun
             raise InvalidInput(f"golden triangle is not UTF-8 text: {path}") from exc
     else:
         text = (resources.files("duckwords.data") / filename).read_text()
-    return CountTriangle.from_csv(text)
+    triangle = CountTriangle.from_csv(text)
+    if not triangle.kmax:
+        raise InvalidInput(f"golden triangle {filename} has no rows")
+    return triangle
 
 
 # --- identity suite --------------------------------------------------------
@@ -356,7 +350,7 @@ def verify_identities(kmax: int) -> dict:
     capped at VERIFY_ENUM_KMAX and VERIFY_SIMULATE_N.
     """
     duck = duck_triangle(kmax)
-    underlined = CountTriangle(tuple(binomial_transform_row(r) for r in duck.rows))
+    underlined = CountTriangle(tuple(IntPolynomial(r).shift(1).coefficients for r in duck.rows))
     checks: list[dict] = []
 
     def add(ident: str, description: str, ok: bool, **details) -> None:

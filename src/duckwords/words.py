@@ -179,6 +179,8 @@ def underline_all(w: str) -> UnderlinedDuckWord:
 
 def check_duck_range(k: int, i: int) -> None:
     """Raise InvalidInput unless 0 <= i <= k-1 (or i = 0 when k = 0)."""
+    if k < 0:
+        raise InvalidInput("k must be nonnegative")
     if not 0 <= i <= max(k - 1, 0):
         raise InvalidInput(f"need 0 <= i <= k-1, got k={k}, i={i}")
 

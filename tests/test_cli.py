@@ -10,7 +10,7 @@ import pytest
 
 from duckwords import cli
 from duckwords.cli import main
-from duckwords.counts import CATALAN_KMAX, TRANSFER_KMAX
+from duckwords.counts import CATALAN_KMAX, ENUM_KMAX, TRANSFER_KMAX
 from duckwords.words import enumerate_3d_dyck
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
@@ -218,6 +218,10 @@ def test_duck_index_out_of_range_exit_2(capsys):
     assert (code, out.strip()) == (0, "14")
     code, out = run(capsys, "count", "redvhc", "--k", "-1", "--n", "3")
     assert (code, out) == (2, "")
+    for kind in ("duck", "underlined", "rewritten"):
+        for command in ("enumerate", "count"):
+            assert main([command, kind, "--k", "-1", "--i", "0"]) == 2
+            assert capsys.readouterr().err == "error: k must be nonnegative\n"
 
 
 def test_tennis_lawns_count_bounded(capsys):
@@ -240,10 +244,31 @@ def test_map_psi(capsys):
 def test_resource_limit_exit_3(capsys):
     assert main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"]) == 3
     assert main(["triangle", "duck", "--kmax", str(TRANSFER_KMAX + 1)]) == 3
+    # the roundtrips list every word, refused before any other check runs
+    code, out = run(capsys, "verify", "--kmax", "50", "--roundtrip-max", str(ENUM_KMAX + 1))
+    assert (code, out) == (3, "")
+    for kind in ("duck", "underlined"):
+        assert main(["count", kind, "--k", str(TRANSFER_KMAX + 1), "--i", "0"]) == 3
+        code, out = run(capsys, "count", kind, "--k", str(TRANSFER_KMAX), "--i", "1")
+        assert code == 0 and out.strip().isdigit()
+
+
+def test_count_reads_what_enumerate_lists(capsys):
+    cases = [("av312", "--n", n) for n in range(9)]
+    cases += [(kind, "--k", k) for kind in ("dyck", "3d-dyck") for k in range(6)]
+    for kind in ("duck", "underlined", "rewritten"):
+        cases += [(kind, "--k", k, "--i", i) for k in range(6) for i in range(max(k, 1))]
+    for case in cases:
+        argv = [str(a) for a in case]
+        code, listed = run(capsys, "enumerate", *argv, "--format", "json")
+        assert code == 0
+        code, out = run(capsys, "count", *argv)
+        assert (code, out) == (0, f"{len(json.loads(listed))}\n"), argv
 
 
 def test_count_catalan_bounded(capsys):
-    for kind, flag in (("catalan", "--k"), ("catalan3d", "--k"), ("tennis-weighted", "--m")):
+    for kind, flag in (("catalan", "--k"), ("catalan3d", "--k"), ("tennis-weighted", "--m"),
+                       ("dyck", "--k"), ("3d-dyck", "--k"), ("av312", "--n")):
         code, out = run(capsys, "count", kind, flag, str(CATALAN_KMAX))
         assert code == 0 and out.strip().isdigit()
         for k in (CATALAN_KMAX + 1, 8000, 99999999999):
@@ -317,6 +342,11 @@ def test_verify_corrupted_golden_exit_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert "golden" in captured.err
+    # an empty golden file would check nothing: bad input, not a pass
+    (tmp_path / "duck_triangle.csv").write_text("")
+    (tmp_path / "redvhc_triangle.csv").write_text(good_red)
+    code, out = run(capsys, "verify", "--kmax", "7", "--golden-dir", str(tmp_path))
+    assert (code, out) == (2, "")
 
 
 def test_usage_error_unknown_flag():

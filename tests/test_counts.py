@@ -5,7 +5,6 @@ from duckwords.counts import (
     TRANSFER_KMAX,
     CountTriangle,
     IntPolynomial,
-    binomial_transform_row,
     catalan,
     catalan3d,
     duck_k1_oracle,
@@ -46,7 +45,40 @@ def test_duck_triangle_known_rows():
 
 
 def test_binomial_transform():
-    assert binomial_transform_row((14, 131, 233, 84)) == (462, 849, 485, 84)
+    assert IntPolynomial((14, 131, 233, 84)).shift(1).coefficients == (462, 849, 485, 84)
+
+
+def reference_duck_triangle(kmax: int) -> CountTriangle:
+    """The duck recurrence with a list indexed by i at each (x, y, z,
+    last-was-X) state, kept as a reference for the packed one."""
+    zero = [0] * kmax
+    rows = []
+    prev = []
+    for x in range(kmax + 1):
+        # cur[y][z] = (counts of prefixes ending in X, counts of the others)
+        cur = []
+        for y in range(x + 1):
+            line = []
+            for z in range(y + 1):
+                # append X to (x-1, y, z); the empty prefix starts the count
+                after_x = [a + b for a, b in zip(*prev[y][z])] if y < x else zero
+                other = [1] + zero[1:] if x == 0 else zero
+                if z < y:  # append Y to (x, y-1, z)
+                    a, b = cur[y - 1][z]
+                    other = [o + p + q for o, p, q in zip(other, a, [0] + b)]
+                if z:  # append Z to (x, y, z-1)
+                    a, b = line[z - 1]
+                    other = [o + p + q for o, p, q in zip(other, a, b)]
+                line.append((after_x, other))
+            cur.append(line)
+        if x:
+            rows.append(tuple(cur[x][x][1][:x]))
+        prev = cur
+    return CountTriangle(tuple(rows))
+
+
+def test_duck_triangle_matches_the_list_recurrence():
+    assert duck_triangle(50) == reference_duck_triangle(50)
 
 
 def test_underlined_triangle_methods_agree():
@@ -150,8 +182,8 @@ def test_golden_dir_override(tmp_path):
     assert load_golden_triangle("duck", tmp_path).row(2) == (2, 3)
     with pytest.raises(InvalidInput):
         load_golden_triangle("redvhc", tmp_path)
-    # a cell that is not an integer, and bytes that are not UTF-8
-    for content in (b"1\n2,x\n", b"1\n2,\xff\n"):
+    # a cell that is not an integer, bytes that are not UTF-8, and no rows
+    for content in (b"1\n2,x\n", b"1\n2,\xff\n", b"", b"\n\n"):
         (tmp_path / "duck_triangle.csv").write_bytes(content)
         with pytest.raises(InvalidInput):
             load_golden_triangle("duck", tmp_path)
