@@ -37,18 +37,15 @@ _EXPORTS = {
         "enumerate_dyck",
         "enumerate_rewritten",
         "enumerate_underlined",
+        "psi",
         "rewrite",
         "underline_all",
-        "validate_underlined",
     ),
     "maps": (
-        "contract",
-        "expand",
         "phi",
         "phi_inverse",
         "phi_prime",
         "phi_prime_inverse",
-        "psi",
         "tennis_lawns",
     ),
     "counts": (

@@ -6,7 +6,8 @@ subclass writes its own `__init__` (filling the slots through `set_field`),
 `__eq__` and `__hash__` over its fields by name, since a loop over the field
 names is slower on these hot paths.  The base makes the fields read-only and
 gives the repr, `Name(field=value, ...)`, and copying and pickling by the
-constructor.
+constructor.  A subclass whose `__init__` checks its fields offers `_unchecked`
+to the producers whose output is valid by construction.
 """
 
 # A record's own __setattr__ refuses every assignment, so its __init__
@@ -22,6 +23,14 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        """The record with these fields, in slot order, without `__init__`."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            set_field(record, name, value)
+        return record
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

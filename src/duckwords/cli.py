@@ -98,14 +98,14 @@ def _run_roundtrips(kmax: int) -> dict:
 
 
 def _check_golden(kmax: int, golden_dir: str | None) -> dict:
-    from .counts import duck_triangle, load_golden_triangle, underlined_triangle
+    from .counts import _binomial_transform, duck_triangle, load_golden_triangle
 
     mismatches: list[dict] = []
     golden_duck = load_golden_triangle("duck", golden_dir)
     golden_red = load_golden_triangle("redvhc", golden_dir)
     upto = min(kmax, golden_duck.kmax, golden_red.kmax)
     duck = duck_triangle(upto)
-    underlined = underlined_triangle(upto, "transform")
+    underlined = _binomial_transform(duck)
     for k in range(1, upto + 1):
         if duck.row(k) != golden_duck.row(k):
             mismatches.append(
@@ -169,11 +169,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_map(args) -> int:
+    direction = args.direction
+    if direction == "psi":
+        from .words import psi
+
+        try:
+            balls = [int(tok) for tok in args.input.replace(",", " ").split()]
+        except ValueError as exc:
+            raise InvalidInput(f"bad lawn: {args.input!r}") from exc
+        lawn = frozenset(balls)
+        if len(lawn) != len(balls):
+            raise InvalidInput(f"a ball is listed twice: {args.input!r}")
+        print(psi(lawn, len(lawn)))
+        return EXIT_OK
+
     from .hooks import HookConfig
-    from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse, psi
+    from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse
     from .words import UnderlinedDuckWord
 
-    direction = args.direction
     if direction == "phi":
         forward = phi(HookConfig.from_json(args.input))
         back = phi_inverse(forward).to_json() if args.roundtrip else None
@@ -185,22 +198,10 @@ def cmd_map(args) -> int:
         word = phi_prime(HookConfig.from_json(args.input))
         forward = word.to_text()
         back = phi_prime_inverse(word).to_json() if args.roundtrip else None
-    elif direction == "phi-prime-inv":
+    else:  # phi-prime-inv
         config = phi_prime_inverse(UnderlinedDuckWord.parse(args.input.strip()))
         forward = config.to_json()
         back = phi_prime(config).to_text() if args.roundtrip else None
-    elif direction == "psi":
-        try:
-            balls = [int(tok) for tok in args.input.replace(",", " ").split()]
-        except ValueError as exc:
-            raise InvalidInput(f"bad lawn: {args.input!r}") from exc
-        lawn = frozenset(balls)
-        if len(lawn) != len(balls):
-            raise InvalidInput(f"a ball is listed twice: {args.input!r}")
-        forward = psi(lawn, len(lawn))
-        back = None
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInput(f"unknown direction {direction!r}")
     print(forward)
     if back is not None:
         print(back)
@@ -297,8 +298,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    """Print how many items of a kind there are.  Every kind but `redvhc`,
-    `vhc` and `tennis-lawns` is read from a closed form or a recurrence."""
+    """Print how many items of a kind there are.  Every kind but `redvhc` and
+    `vhc` is read from a closed form, such as catalan(m + 1) lawns, or a recurrence."""
     kind = args.kind
     if kind in ("catalan", "dyck"):
         from .counts import catalan
@@ -332,9 +333,14 @@ def cmd_count(args) -> int:
 
         value = count_vhcs(_bounded_perm(args))
     elif kind == "tennis-lawns":
-        from .counts import tennis_ball_count
+        from .counts import CATALAN_KMAX, catalan
 
-        value = tennis_ball_count(_require(args, "m"))
+        m = _require(args, "m")
+        if m < 0:
+            raise InvalidInput("m must be nonnegative")
+        if m >= CATALAN_KMAX:
+            raise ResourceLimit(f"m={m} exceeds limit {CATALAN_KMAX - 1}")
+        value = catalan(m + 1)
     else:  # tennis-weighted
         from .counts import tennis_ball_weighted
 

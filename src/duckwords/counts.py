@@ -170,8 +170,7 @@ def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
     """
     _check_kmax(kmax)
     if method == "transform":
-        duck = duck_triangle(kmax)
-        return CountTriangle(tuple(IntPolynomial(r).shift(1).coefficients for r in duck.rows))
+        return _binomial_transform(duck_triangle(kmax))
     if method == "enumerate":
         from .words import enumerate_underlined
 
@@ -191,6 +190,11 @@ def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
             rows.append(tuple(red_vhc_count_brute(k, 3 * k - i) for i in range(k)))
         return CountTriangle(tuple(rows))
     raise InvalidInput(f"unknown method: {method!r}")
+
+
+def _binomial_transform(duck: CountTriangle) -> CountTriangle:
+    """The underlined triangle of a duck triangle: row k is h_k(x + 1)."""
+    return CountTriangle(tuple(IntPolynomial(r).shift(1).coefficients for r in duck.rows))
 
 
 class IntPolynomial(Record):
@@ -267,15 +271,6 @@ def tennis_ball_weighted(m: int, method: str = "closed_form") -> int:
     raise InvalidInput(f"unknown method: {method!r}")
 
 
-def tennis_ball_count(m: int) -> int:
-    """Number of reachable lawn configurations after m rounds."""
-    from .maps import tennis_lawns
-
-    if m > SIMULATE_ROUNDS_LIMIT:
-        raise ResourceLimit(f"m={m} exceeds simulation limit {SIMULATE_ROUNDS_LIMIT}")
-    return len(tennis_lawns(m))
-
-
 def duck_k1_oracle(k: int) -> int:
     """
     Independent count of duck words with exactly one Y not preceded by an X:
@@ -350,7 +345,7 @@ def verify_identities(kmax: int) -> dict:
     capped at VERIFY_ENUM_KMAX and VERIFY_SIMULATE_N.
     """
     duck = duck_triangle(kmax)
-    underlined = CountTriangle(tuple(IntPolynomial(r).shift(1).coefficients for r in duck.rows))
+    underlined = _binomial_transform(duck)
     checks: list[dict] = []
 
     def add(ident: str, description: str, ok: bool, **details) -> None:

@@ -1,6 +1,7 @@
 """
 Constructive bijections between reduced 312-avoiding hook configurations
-and 3D-Dyck / underlined duck words, plus the tennis-ball map.
+and 3D-Dyck / underlined duck words, plus the tennis-ball process, whose map
+psi is in `words`.
 
 Heights (values) drive everything here: in a reduced maximal configuration
 every height 1..3k belongs to exactly one of descent bottom, SW endpoint,
@@ -18,20 +19,25 @@ is followed by its descent bottom, the top of a stack of the X heights scanned
 so far (the largest unused X below it).  A y adds no point: its hook starts
 at the point before it.
 
-Configurations come from `make_config`/`from_json` and words from the `words`
-parsers; a bare HookConfig is trusted to be well formed, hooks in SW order
-included.  phi_prime alone decides the domain: c is reduced, valid and
-312-avoiding exactly when the word read off c is a valid underlined word that
-builds c again, as phi_prime is a bijection onto those words (a theorem of the
-paper, checked on every roundtrip output in the tests).  The other maps go
-through phi_prime or check their input word.
+Configurations come from `make_config`/`from_json`; a bare HookConfig is
+trusted to be well formed, hooks in SW order included.  An UnderlinedDuckWord
+checks itself when it is built, so phi_prime_inverse trusts its word.
+phi_prime alone decides the domain: c is reduced, valid and 312-avoiding
+exactly when the word read off c is a valid underlined word that builds c
+again, as phi_prime is a bijection onto those words (a theorem of the paper,
+checked on every roundtrip output in the tests).  phi goes through phi_prime,
+and phi_inverse checks its text.
+
+The paper's expansion of c, the configuration with 3k points and the heights
+inserted into it, is `u = phi_prime(c)` then `(phi_inverse(u.word),
+u.underlines)`; its contraction is `phi_prime_inverse` of the underlined word.
 """
 from __future__ import annotations
 
 from .errors import InvalidInput
 from .hooks import HookConfig
 from .perms import descent_table
-from .words import UnderlinedDuckWord, is_3d_dyck, is_dyck, validate_underlined
+from .words import UnderlinedDuckWord, is_3d_dyck
 
 
 def phi(c: HookConfig) -> str:
@@ -100,45 +106,21 @@ def _build(text: str) -> HookConfig:
     return HookConfig(tuple(values), tuple(sorted(hooks)))
 
 
-def expand(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
-    """
-    Grow a reduced 312-avoiding configuration to one with 3k points by
-    splitting every point that is both a SW endpoint and something else: a
-    new pure SW endpoint is inserted one column to the right, one height
-    above the previous hook endpoint, and the hook moves onto it.
-
-    Returns the maximal configuration and the set of inserted heights.
-    """
-    u = phi_prime(c)
-    return _build(u.word), u.underlines
-
-
-def contract(cp: HookConfig, inserted: frozenset[int] | set[int]) -> HookConfig:
-    """
-    Inverse of expand: delete the points at the inserted heights and move
-    each orphaned hook's SW end onto the point one column to the left.
-
-    Accepts exactly the image of expand: phi(cp) must be defined, with
-    each inserted height a Y not preceded by an X.
-    """
-    return phi_prime_inverse(UnderlinedDuckWord(phi(cp), frozenset(inserted)))
-
-
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:
     """Underlined duck word of any reduced 312-avoiding configuration:
     phi of the expansion, with the inserted heights underlined."""
     text = _read(c)
-    underlines = frozenset(p for p, ch in enumerate(text, start=1) if ch == "y")
-    u = UnderlinedDuckWord(text.upper(), underlines)
-    if not validate_underlined(u) or _build(text) != c:
+    try:
+        u = UnderlinedDuckWord.parse(text)
+    except InvalidInput:
+        u = None
+    if u is None or _build(text) != c:
         raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
     return u
 
 
 def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:
     """Two-sided inverse of phi_prime."""
-    if not validate_underlined(u):
-        raise InvalidInput("not a valid underlined duck word")
     return _build(u.to_text())
 
 
@@ -163,24 +145,3 @@ def tennis_lawns(m: int) -> frozenset[frozenset[int]]:
         rooms = nxt
     all_balls = frozenset(range(1, 2 * m + 1))
     return frozenset(all_balls - room for room in rooms)
-
-
-def psi(lawn: frozenset[int] | set[int], m: int) -> str:
-    """
-    Dyck word of a lawn configuration: a leading U, then one letter per
-    ball label (U when the ball is on the lawn, D when it is not), then a
-    trailing D.
-
-    A set of balls from 1..2m is a lawn reachable after m rounds exactly
-    when this word is a Dyck word; tests check that against `tennis_lawns`.
-    """
-    if m < 0:
-        raise InvalidInput("m must be nonnegative")
-    lawn = frozenset(lawn)
-    if not all(1 <= ball <= 2 * m for ball in lawn):
-        raise InvalidInput(f"balls must lie in 1..{2 * m}: {sorted(lawn)}")
-    body = "".join("U" if ball in lawn else "D" for ball in range(1, 2 * m + 1))
-    word = "U" + body + "D"
-    if not is_dyck(word):
-        raise InvalidInput(f"unreachable lawn configuration for m={m}: {sorted(lawn)}")
-    return word

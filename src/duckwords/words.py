@@ -1,6 +1,6 @@
 """
-Dyck words, 3D-Dyck words, duck classification, underlined duck words, and
-the circle/underline rewriting codec.
+Dyck words and the tennis-ball map psi, 3D-Dyck words, duck classification,
+underlined duck words, and the circle/underline rewriting codec.
 
 Text formats:
   * Dyck words: "UUDD".
@@ -12,13 +12,16 @@ Text formats:
 
 Positions are 1-based everywhere.
 
-Text becomes a word through the `parse` methods.  As the word classes can also
-be built directly, `rewrite` and `decode` check their input, not their output.
+The word classes check their fields when they are built, from text through
+`parse` or directly, and raise InvalidInput on an invalid word.  So every
+instance is valid, and `rewrite`, `decode` and the maps trust the words they
+are given.  The generators, `rewrite` and `decode` build their output with
+`_unchecked`, as it is valid by construction.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._record import Record, set_field
 from .errors import InvalidInput
@@ -36,6 +39,28 @@ def is_dyck(w: str) -> bool:
         else:
             return False
     return height == 0
+
+
+def psi(lawn: frozenset[int] | set[int], m: int) -> str:
+    """
+    Dyck word of a lawn configuration: a leading U, then one letter per
+    ball label (U when the ball is on the lawn, D when it is not), then a
+    trailing D.
+
+    A set of balls from 1..2m is a lawn reachable after m rounds exactly
+    when this word is a Dyck word; tests check that against
+    `maps.tennis_lawns`.  Balls are ints, not bools or floats.
+    """
+    if m < 0:
+        raise InvalidInput("m must be nonnegative")
+    lawn = frozenset(lawn)
+    if not all(type(ball) is int and 1 <= ball <= 2 * m for ball in lawn):
+        raise InvalidInput(f"balls must be ints in 1..{2 * m}: {set(lawn)}")
+    body = "".join("U" if ball in lawn else "D" for ball in range(1, 2 * m + 1))
+    word = "U" + body + "D"
+    if not is_dyck(word):
+        raise InvalidInput(f"unreachable lawn configuration for m={m}: {sorted(lawn)}")
+    return word
 
 
 def is_3d_dyck(w: str) -> bool:
@@ -121,9 +146,27 @@ def enumerate_3d_dyck(k: int) -> Iterator[str]:
 
 
 class UnderlinedDuckWord(Record):
+    """A 3D-Dyck word with underlines on some of its Y's that are not preceded
+    by an X, given by their 1-based positions.  The constructor checks both
+    and raises InvalidInput otherwise; it stores the underlines as a frozenset
+    of ints."""
+
     __slots__ = ("word", "underlines")
 
-    def __init__(self, word: str, underlines: frozenset[int]):
+    def __init__(self, word: str, underlines: Iterable[int]):
+        if not isinstance(word, str) or not is_3d_dyck(word):
+            raise InvalidInput(f"not a 3D-Dyck word: {word!r}")
+        try:
+            underlines = frozenset(underlines)
+        except TypeError as exc:
+            raise InvalidInput(f"underlines are not a set of positions: {underlines!r}") from exc
+        for p in underlines:
+            # position 1 holds an X, so word[p - 2] is the letter before p
+            if (type(p) is not int or not 0 < p <= len(word)
+                    or word[p - 1] != "Y" or word[p - 2] == "X"):
+                raise InvalidInput(
+                    f"cannot underline position {p!r} of {word!r}: "
+                    "not a Y that follows a letter other than X")
         set_field(self, "word", word)
         set_field(self, "underlines", underlines)
 
@@ -145,12 +188,7 @@ class UnderlinedDuckWord(Record):
     def parse(cls, text: str) -> "UnderlinedDuckWord":
         if not set(text) <= set("XYZy"):
             raise InvalidInput(f"not an underlined duck word: {text!r}")
-        word = text.upper()
-        underlines = frozenset(p for p, ch in enumerate(text, start=1) if ch == "y")
-        u = cls(word, underlines)
-        if not validate_underlined(u):
-            raise InvalidInput(f"not an underlined duck word: {text!r}")
-        return u
+        return cls(text.upper(), (p for p, ch in enumerate(text, start=1) if ch == "y"))
 
     @property
     def k(self) -> int:
@@ -161,20 +199,10 @@ class UnderlinedDuckWord(Record):
         return len(self.underlines)
 
 
-def validate_underlined(u: UnderlinedDuckWord) -> bool:
-    """Both invariants: underlines sit on Y's that are not preceded by an X."""
-    if not is_3d_dyck(u.word):
-        return False
-    eligible = set(non_x_preceded_ys(u.word))
-    return set(u.underlines) <= eligible
-
-
 def underline_all(w: str) -> UnderlinedDuckWord:
     """The canonical underlined form of a duck word: every non-X-preceded
     Y underlined."""
-    if not is_3d_dyck(w):
-        raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
-    return UnderlinedDuckWord(w, frozenset(non_x_preceded_ys(w)))
+    return UnderlinedDuckWord(w, non_x_preceded_ys(w))
 
 
 def check_duck_range(k: int, i: int) -> None:
@@ -191,14 +219,43 @@ def enumerate_underlined(k: int, i: int) -> Iterator[UnderlinedDuckWord]:
     for w in enumerate_3d_dyck(k):
         eligible = non_x_preceded_ys(w)
         for combo in itertools.combinations(eligible, i):
-            yield UnderlinedDuckWord(w, frozenset(combo))
+            yield UnderlinedDuckWord._unchecked(w, frozenset(combo))
 
 
 class RewrittenDuckWord(Record):
+    """Dyck letters, each with a circle count (a nonnegative int) and an
+    underline flag (a bool), stored as tuples.  The constructor raises
+    InvalidInput unless underlines sit only on circle-free U's and every prefix
+    has at least as many circles as underlines, the whole word as many."""
+
     __slots__ = ("letters", "circle_counts", "underline_flags")
 
-    def __init__(self, letters: str, circle_counts: tuple[int, ...],
-                 underline_flags: tuple[bool, ...]):
+    def __init__(self, letters: str, circle_counts: Iterable[int],
+                 underline_flags: Iterable[bool]):
+        if not isinstance(letters, str) or not is_dyck(letters):
+            raise InvalidInput(f"letters are not a Dyck word: {letters!r}")
+        try:
+            circle_counts, underline_flags = tuple(circle_counts), tuple(underline_flags)
+        except TypeError as exc:
+            raise InvalidInput("circle counts and underline flags must be sequences") from exc
+        if not (len(letters) == len(circle_counts) == len(underline_flags)):
+            raise InvalidInput("mismatched rewritten-word component lengths")
+        circles = underlines = 0
+        for ch, c, under in zip(letters, circle_counts, underline_flags):
+            if type(c) is not int or c < 0:
+                raise InvalidInput(f"circle count is not a nonnegative int: {c!r}")
+            if type(under) is not bool:
+                raise InvalidInput(f"underline flag is not a bool: {under!r}")
+            if under and ch != "U":
+                raise InvalidInput("underline on a D")
+            if under and c:
+                raise InvalidInput("circle on an underlined letter")
+            circles += c
+            underlines += under
+            if circles < underlines:
+                raise InvalidInput("prefix has more underlines than circles")
+        if circles != underlines:
+            raise InvalidInput("circle total differs from underline total")
         set_field(self, "letters", letters)
         set_field(self, "circle_counts", circle_counts)
         set_field(self, "underline_flags", underline_flags)
@@ -240,37 +297,11 @@ class RewrittenDuckWord(Record):
                 raise InvalidInput(f"bad rewritten word: {text!r}")
         if depth or expect_close:
             raise InvalidInput(f"bad rewritten word: {text!r}")
-        r = cls("".join(letters), tuple(circles), tuple(flags))
-        check_rewritten(r)
-        return r
+        return cls("".join(letters), circles, flags)
 
     @property
     def i(self) -> int:
         return sum(self.underline_flags)
-
-
-def check_rewritten(r: RewrittenDuckWord) -> None:
-    """Raise InvalidInput unless r satisfies the rewritten-word invariants:
-    Dyck letters, underlines only on circle-free U's, equal circle and
-    underline totals, and prefix #circles >= #underlines."""
-    if not is_dyck(r.letters):
-        raise InvalidInput(f"letters are not a Dyck word: {r.letters!r}")
-    if not (len(r.letters) == len(r.circle_counts) == len(r.underline_flags)):
-        raise InvalidInput("mismatched rewritten-word component lengths")
-    circles = underlines = 0
-    for ch, c, under in zip(r.letters, r.circle_counts, r.underline_flags):
-        if c < 0:
-            raise InvalidInput("negative circle count")
-        if under and ch != "U":
-            raise InvalidInput("underline on a D")
-        if under and c:
-            raise InvalidInput("circle on an underlined letter")
-        circles += c
-        underlines += int(under)
-        if circles < underlines:
-            raise InvalidInput("prefix has more underlines than circles")
-    if circles != underlines:
-        raise InvalidInput("circle total differs from underline total")
 
 
 def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
@@ -282,28 +313,25 @@ def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
     The encoding is only information-preserving when every non-X-preceded Y
     is underlined, so that is required of the input.
     """
-    if not is_3d_dyck(u.word) or set(u.underlines) != set(non_x_preceded_ys(u.word)):
+    # the underlines are a subset of those Y's, so equal sizes mean equal sets
+    if len(u.underlines) != len(non_x_preceded_ys(u.word)):
         raise InvalidInput(
             "rewrite needs a duck word in canonical underlined form "
             "(every non-X-preceded Y underlined)"
         )
-    consumed = set()
-    for p in range(1, len(u.word) + 1):
-        if u.word[p - 1] == "Y" and p not in u.underlines:
-            consumed.add(p - 1)  # the X at position p-1
     letters, circles, flags = [], [], []
     pending = 0
     for p, ch in enumerate(u.word, start=1):
-        if p in consumed:
-            continue
         if ch == "X":
-            pending += 1
+            # an X before a Y goes with it: in canonical form that Y is
+            # exactly a non-underlined one
+            pending += u.word[p:p + 1] != "Y"
             continue
         letters.append("U" if ch == "Y" else "D")
         circles.append(pending)
         flags.append(p in u.underlines)
         pending = 0
-    return RewrittenDuckWord("".join(letters), tuple(circles), tuple(flags))
+    return RewrittenDuckWord._unchecked("".join(letters), tuple(circles), tuple(flags))
 
 
 def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
@@ -312,7 +340,6 @@ def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
     letter, an X in front of every non-underlined U, and map U -> Y,
     D -> Z.  Underlines stay where they were.
     """
-    check_rewritten(r)
     out: list[str] = []
     underlines = []
     for ch, c, under in zip(r.letters, r.circle_counts, r.underline_flags):
@@ -322,7 +349,7 @@ def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
         out.append("Y" if ch == "U" else "Z")
         if under:
             underlines.append(len(out))
-    return UnderlinedDuckWord("".join(out), frozenset(underlines))
+    return UnderlinedDuckWord._unchecked("".join(out), frozenset(underlines))
 
 
 def enumerate_rewritten(k: int, i: int) -> Iterator[RewrittenDuckWord]:
@@ -340,7 +367,7 @@ def enumerate_rewritten(k: int, i: int) -> Iterator[RewrittenDuckWord]:
             flags = tuple(p in under_set for p in range(2 * k))
             slots = [p for p in range(2 * k) if p not in under_set]
             for counts in _circle_placements(len(word), slots, flags, i):
-                yield RewrittenDuckWord(word, counts, flags)
+                yield RewrittenDuckWord._unchecked(word, counts, flags)
 
 
 def _circle_placements(length, slots, flags, total) -> Iterator[tuple[int, ...]]:

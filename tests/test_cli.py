@@ -10,7 +10,8 @@ import pytest
 
 from duckwords import cli
 from duckwords.cli import main
-from duckwords.counts import CATALAN_KMAX, ENUM_KMAX, TRANSFER_KMAX
+from duckwords.counts import CATALAN_KMAX, ENUM_KMAX, SIMULATE_ROUNDS_LIMIT, TRANSFER_KMAX
+from duckwords.maps import tennis_lawns
 from duckwords.words import enumerate_3d_dyck
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
@@ -225,9 +226,21 @@ def test_duck_index_out_of_range_exit_2(capsys):
 
 
 def test_tennis_lawns_count_bounded(capsys):
-    code, out = run(capsys, "count", "tennis-lawns", "--m", "5")
-    assert (code, out.strip()) == (0, "132")
-    assert main(["count", "tennis-lawns", "--m", "9"]) == 3
+    # the closed form against the simulated process
+    for m in range(SIMULATE_ROUNDS_LIMIT + 1):
+        code, out = run(capsys, "count", "tennis-lawns", "--m", str(m))
+        assert (code, out) == (0, f"{len(tennis_lawns(m))}\n")
+    code, out = run(capsys, "count", "tennis-lawns", "--m", "9")
+    assert (code, out.strip()) == (0, "16796")
+    code, out = run(capsys, "count", "tennis-lawns", "--m", str(CATALAN_KMAX - 1))
+    assert code == 0 and out.strip().isdigit()
+    for m in (CATALAN_KMAX, 99999999999):
+        assert main(["count", "tennis-lawns", "--m", str(m)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: m={m} exceeds limit {CATALAN_KMAX - 1}\n"
+    assert main(["count", "tennis-lawns", "--m", "-1"]) == 2
+    assert capsys.readouterr().err == "error: m must be nonnegative\n"
 
 
 def test_map_psi(capsys):

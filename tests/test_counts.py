@@ -12,7 +12,6 @@ from duckwords.counts import (
     f_poly,
     h_poly,
     load_golden_triangle,
-    tennis_ball_count,
     tennis_ball_weighted,
     underlined_triangle,
     verify_identities,
@@ -143,12 +142,6 @@ def test_tennis_ball_weighted():
     assert (2 * 4 + 10 + 4) * 10 // 4 - 2 ** 5 == 23
     for n in range(SIMULATE_ROUNDS_LIMIT + 1):
         assert tennis_ball_weighted(n, "simulate") == tennis_ball_weighted(n, "closed_form")
-
-
-def test_tennis_ball_count():
-    assert [tennis_ball_count(n) for n in range(6)] == [1, 2, 5, 14, 42, 132]
-    with pytest.raises(ResourceLimit):
-        tennis_ball_count(SIMULATE_ROUNDS_LIMIT + 1)
 
 
 def test_duck_k1_oracle():

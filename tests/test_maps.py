@@ -13,18 +13,9 @@ from duckwords.hooks import (
     make_config,
     reduce_config,
 )
-from duckwords.maps import (
-    contract,
-    expand,
-    phi,
-    phi_inverse,
-    phi_prime,
-    phi_prime_inverse,
-    psi,
-    tennis_lawns,
-)
+from duckwords.maps import phi, phi_inverse, phi_prime, phi_prime_inverse, tennis_lawns
 from duckwords.perms import enumerate_av312
-from duckwords.words import UnderlinedDuckWord, enumerate_3d_dyck, enumerate_underlined
+from duckwords.words import UnderlinedDuckWord, enumerate_3d_dyck, enumerate_underlined, psi
 
 FIG5_CONFIG = make_config(
     (3, 2, 4, 1, 7, 8, 6, 9, 10, 11, 5, 12),
@@ -107,36 +98,41 @@ def test_maps_reject_configs_outside_their_domain():
     # a bare HookConfig whose hooks are not in SW order is not well formed
     unordered = HookConfig(FIG5_CONFIG.perm, FIG5_CONFIG.hooks[::-1])
     for c in (INVALID_CONFIG, UNREDUCED_CONFIG, CONTAINS_312_CONFIG, unordered):
-        for f in (phi, phi_prime, expand, hooks_projection):
+        for f in (phi, phi_prime, hooks_projection):
             with pytest.raises(InvalidInput):
                 f(c)
     for f in (is_reduced, reduce_config):
         with pytest.raises(InvalidInput):
             f(INVALID_CONFIG)
-    # contract accepts exactly the image of expand
-    expanded, inserted = expand(FIG7_CONFIG)
+    # the contraction takes phi's word of a maximal configuration, with the
+    # inserted heights underlined; phi and the word's constructor reject the rest
+    u = phi_prime(FIG7_CONFIG)
+    expanded, inserted = phi_inverse(u.word), u.underlines
     for c, heights in ((INVALID_CONFIG, frozenset()),
                        (FIG7_CONFIG, frozenset()),    # valid but not maximal
                        (expanded, inserted | {1}),    # an X height
                        (expanded, inserted | {13})):  # no such height
         with pytest.raises(InvalidInput):
-            contract(c, heights)
+            phi_prime_inverse(UnderlinedDuckWord(phi(c), heights))
     assert is_reduced(CONTAINS_312_CONFIG) and not is_reduced(UNREDUCED_CONFIG)
 
 
 def test_expand_known_value():
-    expanded, inserted = expand(FIG7_CONFIG)
+    # the expansion is phi_inverse of phi_prime's word, with the underlined
+    # heights inserted; the contraction is phi_prime_inverse
+    u = phi_prime(FIG7_CONFIG)
+    expanded = phi_inverse(u.word)
     assert expanded == make_config(
         (3, 2, 4, 1, 6, 7, 5, 9, 10, 11, 8, 12),
         [(1, 9), (3, 5), (6, 8), (10, 12)],
     )
-    assert inserted == frozenset({4, 11})
-    assert contract(expanded, inserted) == FIG7_CONFIG
+    assert u.underlines == frozenset({4, 11})
+    assert phi_prime_inverse(UnderlinedDuckWord(phi(expanded), u.underlines)) == FIG7_CONFIG
 
 
 def test_expand_fixed_point_on_max_configs():
-    expanded, inserted = expand(FIG5_CONFIG)
-    assert expanded == FIG5_CONFIG and inserted == frozenset()
+    u = phi_prime(FIG5_CONFIG)
+    assert phi_inverse(u.word) == FIG5_CONFIG and u.underlines == frozenset()
 
 
 def test_phi_prime_known_value():
@@ -179,8 +175,8 @@ def test_phi_prime_follows_the_papers_expansion():
             cp, inserted = reference_expand(c)
             u = phi_prime(c)
             assert u == UnderlinedDuckWord(phi(cp), inserted)
-            assert expand(c) == (cp, inserted)
-            assert contract(cp, inserted) == c
+            assert phi_inverse(u.word) == cp
+            assert phi_prime_inverse(u) == c
             images.setdefault((c.k, n), set()).add(u)
     cells = {(k, 3 * k - i) for k in range(1, 11) for i in range(k) if 3 * k - i <= 10}
     assert set(images) == cells | {(0, 0)}
@@ -232,6 +228,8 @@ def test_psi_accepts_exactly_the_reachable_lawns():
 
 
 def test_psi_rejects_balls_out_of_range():
-    for lawn, m in (({0}, 1), ({3}, 1), ({1, 5}, 1), ({1}, -1)):
+    # balls are ints, as in check_permutation: not bools or floats
+    for lawn, m in (({0}, 1), ({3}, 1), ({1, 5}, 1), ({1}, -1), ({1.0}, 1), ({True}, 1),
+                    ({1, 2.0}, 2)):
         with pytest.raises(InvalidInput):
             psi(lawn, m)

@@ -47,10 +47,9 @@ PACKAGE_NAMES = {
     "HookConfig", "ValidityReport", "check_valid", "enumerate_vhcs", "hooks_projection",
     "is_reduced", "make_config", "reduce_config", "verify_eq1",
     "RewrittenDuckWord", "UnderlinedDuckWord", "decode", "duck_index", "enumerate_3d_dyck",
-    "enumerate_dyck", "enumerate_rewritten", "enumerate_underlined", "rewrite",
-    "underline_all", "validate_underlined",
-    "contract", "expand", "phi", "phi_inverse", "phi_prime", "phi_prime_inverse", "psi",
-    "tennis_lawns",
+    "enumerate_dyck", "enumerate_rewritten", "enumerate_underlined", "psi", "rewrite",
+    "underline_all",
+    "phi", "phi_inverse", "phi_prime", "phi_prime_inverse", "tennis_lawns",
     "CountTriangle", "IntPolynomial", "catalan", "catalan3d", "duck_k1_oracle",
     "duck_triangle", "f_poly", "h_poly", "load_golden_triangle", "tennis_ball_weighted",
     "underlined_triangle", "verify_identities",
@@ -94,7 +93,7 @@ def test_count_triangle_checks_its_rows():
 
 
 def test_package_names():
-    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 48
+    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 45
     assert set(duckwords.__all__) == PACKAGE_NAMES
     listed = {n for n in dir(duckwords)
               if not n.startswith("_") and not isinstance(getattr(duckwords, n), types.ModuleType)}
@@ -108,22 +107,30 @@ def test_package_names():
     assert not hasattr(duckwords, "nope")
 
 
-def test_count_command_imports_only_what_it_runs():
+@pytest.mark.parametrize("argv, printed, needed, unneeded", [
+    (["count", "catalan3d", "--k", "3"], "42", "duckwords.counts",
+     ("dataclasses", "duckwords.hooks", "duckwords.maps", "duckwords.words")),
+    (["map", "psi", "1,2"], "UUUDDD", "duckwords.words",
+     ("duckwords.hooks", "duckwords.maps", "duckwords.perms", "json")),
+], ids=["count", "map-psi"])
+def test_command_imports_only_what_it_runs(argv, printed, needed, unneeded):
     # a fresh interpreter; whatever `site` loads is in `before`
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "from duckwords.cli import main\n"
-        "code = main(['count', 'catalan3d', '--k', '3'])\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        f"code = main({argv!r})\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    printed, summary = proc.stdout.splitlines()
+    out, summary = proc.stdout.splitlines()
     code, loaded = json.loads(summary)
-    assert printed == "42" and code == 0
-    assert "duckwords.counts" in loaded
-    for name in ("dataclasses", "duckwords.hooks", "duckwords.maps", "duckwords.words"):
+    assert out == printed and code == 0
+    assert needed in loaded
+    for name in unneeded:
         assert name not in loaded

@@ -1,6 +1,7 @@
 """
 Property and fuzz tests: the bijections on random words, the boundary
-checks of make_config on random malformed input, and the CLI on random JSON.
+checks of make_config and of the word constructors on random malformed input,
+and the CLI on random JSON.
 """
 import contextlib
 import io
@@ -17,6 +18,7 @@ from duckwords.errors import InvalidInput
 from duckwords.hooks import make_config
 from duckwords.maps import phi, phi_inverse, phi_prime, phi_prime_inverse
 from duckwords.words import (
+    RewrittenDuckWord,
     UnderlinedDuckWord,
     decode,
     non_x_preceded_ys,
@@ -134,6 +136,115 @@ def test_make_config_rejects_malformed_hooks(perm, hooks):
     else:
         with pytest.raises(InvalidInput):
             make_config(perm, hooks)
+
+
+# --- the word constructors on random fields ---------------------------------
+
+
+def is_3d_dyck_reference(word: str) -> bool:
+    """Every prefix has #X >= #Y >= #Z, and the whole word equal counts."""
+    prefixes = [word[:j] for j in range(len(word) + 1)]
+    return (set(word) <= set("XYZ")
+            and all(p.count("X") >= p.count("Y") >= p.count("Z") for p in prefixes)
+            and word.count("X") == word.count("Z"))
+
+
+def underlined_reference(word, underlines) -> bool:
+    """A 3D-Dyck word, each underline the int position of a Y whose
+    previous letter is not an X."""
+    eligible = {j + 1 for j in range(1, len(word))
+                if word[j] == "Y" and word[j - 1] != "X"}
+    return (isinstance(word, str) and is_3d_dyck_reference(word)
+            and all(type(p) is int and p in eligible for p in underlines))
+
+
+@st.composite
+def underlined_fields(draw):
+    """Mostly random XYZ strings, some 3D-Dyck words; positions in and
+    around the word, or its eligible Y's, some as floats or bools; in a set,
+    frozenset, list or tuple."""
+    word = draw(st.text("XYZ", max_size=9) | dyck3_words(kmax=4))
+    positions = st.integers(-2, len(word) + 1)
+    eligible = non_x_preceded_ys(word)
+    if eligible:
+        positions = positions | st.sampled_from(eligible)
+    odd = st.sampled_from([2.0, 4.0, True, False])
+    marks = draw(st.lists(positions | odd, max_size=4))
+    container = draw(st.sampled_from([set, frozenset, list, tuple]))
+    return draw(st.sampled_from([word, list(word)])), container(marks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(underlined_fields())
+def test_underlined_constructor_accepts_exactly_valid_words(fields):
+    word, underlines = fields
+    if underlined_reference(word, underlines):
+        u = UnderlinedDuckWord(word, underlines)
+        assert u.underlines == frozenset(underlines) and type(u.underlines) is frozenset
+        assert hash(u) == hash(UnderlinedDuckWord.parse(u.to_text()))
+    else:
+        with pytest.raises(InvalidInput):
+            UnderlinedDuckWord(word, underlines)
+
+
+def rewritten_reference(letters, counts, flags) -> bool:
+    """Dyck letters; a nonnegative int circle count and a bool flag per
+    letter; flags only on circle-free U's; every prefix with at least as many
+    circles as flags, the whole word with as many."""
+    n = len(letters)
+    if not (isinstance(letters, str) and set(letters) <= set("UD")
+            and n == len(counts) == len(flags)):
+        return False
+    if not (all(type(c) is int and c >= 0 for c in counts)
+            and all(type(f) is bool for f in flags)):
+        return False
+    prefixes = range(n + 1)
+    return (all(letters[:j].count("U") >= letters[:j].count("D") for j in prefixes)
+            and letters.count("U") == letters.count("D")
+            and all(not f or (ch == "U" and c == 0) for ch, c, f in zip(letters, counts, flags))
+            and all(sum(counts[:j]) >= sum(flags[:j]) for j in prefixes)
+            and sum(counts) == sum(flags))
+
+
+COUNTS = [0, 0, 0, 0, 1, 1, 2, -1, True, "a", 1.0]
+FLAGS = [False, False, False, True, True, 0, 1]
+
+
+@st.composite
+def rewritten_fields(draw):
+    """Either random U/D letters with circle counts and flags, mostly one per
+    letter, or a rewritten word with one field perhaps changed; counts and
+    flags mostly small ints and bools, some of the wrong type."""
+    if draw(st.booleans()):
+        letters = draw(st.text("UD", max_size=8))
+        sizes = [len(letters)] * 4 + [len(letters) + 1]
+        n, m = draw(st.sampled_from(sizes)), draw(st.sampled_from(sizes))
+        counts = draw(st.lists(st.sampled_from(COUNTS), min_size=n, max_size=n))
+        flags = draw(st.lists(st.sampled_from(FLAGS), min_size=m, max_size=m))
+    else:
+        r = rewrite(underline_all(draw(dyck3_words(kmax=5))))
+        letters, counts, flags = r.letters, list(r.circle_counts), list(r.underline_flags)
+        if letters and draw(st.booleans()):
+            j = draw(st.integers(0, len(letters) - 1))
+            if draw(st.booleans()):
+                counts[j] = draw(st.sampled_from(COUNTS))
+            else:
+                flags[j] = draw(st.sampled_from(FLAGS))
+    container = draw(st.sampled_from([list, tuple]))
+    return draw(st.sampled_from([letters, list(letters)])), container(counts), container(flags)
+
+
+@settings(max_examples=600, deadline=None)
+@given(rewritten_fields())
+def test_rewritten_constructor_accepts_exactly_valid_words(fields):
+    if rewritten_reference(*fields):
+        r = RewrittenDuckWord(*fields)
+        assert (r.circle_counts, r.underline_flags) == tuple(map(tuple, fields[1:]))
+        assert hash(r) == hash(RewrittenDuckWord.parse(r.to_text()))
+        assert rewrite(decode(r)) == r
+    else:
+        with pytest.raises(InvalidInput):
+            RewrittenDuckWord(*fields)
 
 
 # --- CLI fuzz ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from duckwords.words import (
     non_x_preceded_ys,
     rewrite,
     underline_all,
-    validate_underlined,
 )
 
 DUCK_ROWS = {1: (1,), 2: (2, 3), 3: (5, 23, 14), 4: (14, 131, 233, 84)}
@@ -91,9 +90,59 @@ def test_underlined_text_roundtrip():
 
 
 def test_validate_underlined():
-    assert validate_underlined(UnderlinedDuckWord("XXYYZZ", frozenset({4})))
-    # position 3 is an X-preceded Y, not eligible
-    assert not validate_underlined(UnderlinedDuckWord("XXYYZZ", frozenset({3})))
+    # the constructor checks its fields; underlines become a frozenset
+    u = UnderlinedDuckWord("XXYYZZ", [4])
+    assert u.underlines == frozenset({4}) and type(u.underlines) is frozenset
+    assert hash(u) == hash(UnderlinedDuckWord("XXYYZZ", frozenset({4})))
+    for word, underlines in (
+        ("XXYYZZ", {3}),        # an X-preceded Y, not eligible
+        ("XYZ", [2]),
+        ("XXYYZZ", {4.0}), ("XXYYZZ", {True}),
+        ("XXYYZZ", {0}), ("XXYYZZ", {7}),
+        ("XXYYZZ", {-2}),       # word[-3] is a Y after a Y
+        ("XYZZ", ()), ("XyZ", ()), (["X", "Y", "Z"], ()), (None, ()),
+        ("XXYYZZ", 4), ("XXYYZZ", [[4]]),
+    ):
+        with pytest.raises(InvalidInput):
+            UnderlinedDuckWord(word, underlines)
+
+
+def test_rewritten_word_checks_its_fields():
+    r = RewrittenDuckWord("UUDD", [1, 0, 0, 0], [False, True, False, False])
+    assert r.to_text() == "(U)uDD" and type(r.circle_counts) is tuple
+    assert hash(r) == hash(RewrittenDuckWord.parse("(U)uDD"))
+    for fields in (
+        ("UD", ("a", 0), (False, False)),
+        ("UUDD", (True, 0, 0, 0), (False, True, False, False)),
+        ("UUDD", (1.0, 0, 0, 0), (False, True, False, False)),
+        ("UUDD", (1, 0, 0, 0), (False, 1, False, False)),
+        ("UUDD", (0, 1, 0, 0), (True, False, False, False)),  # underline before its circle
+        ("UUDD", (1, 0, 0, 0), (False, False, False, False)),  # unequal totals
+        ("UUDD", (1, 0, 0, 0), (False, False, True, False)),   # underline on a D
+        ("UUDD", (0, 1, 0, 0), (False, True, False, False)),   # circle on an underline
+        ("UUDD", (0, 0, 0, -1), (False,) * 4),
+        ("UDDU", (0,) * 4, (False,) * 4),
+        ("UD", (0,), (False, False)),
+        (["U", "D"], (0, 0), (False, False)),
+        ("UD", 0, (False, False)),
+    ):
+        with pytest.raises(InvalidInput):
+            RewrittenDuckWord(*fields)
+
+
+def test_unchecked_producers_build_valid_words():
+    # what the generators, rewrite and decode build without checks passes them
+    for k in range(5):
+        for i in range(max(k, 1)):
+            for u in enumerate_underlined(k, i):
+                assert UnderlinedDuckWord(u.word, u.underlines) == u
+            for r in enumerate_rewritten(k, i):
+                assert RewrittenDuckWord(r.letters, r.circle_counts, r.underline_flags) == r
+        for w in enumerate_3d_dyck(k):
+            r = rewrite(underline_all(w))
+            assert RewrittenDuckWord(r.letters, r.circle_counts, r.underline_flags) == r
+            u = decode(r)
+            assert UnderlinedDuckWord(u.word, u.underlines) == u
 
 
 def test_underline_all():
