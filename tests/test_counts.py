@@ -17,6 +17,7 @@ from duckwords.counts import (
     verify_identities,
 )
 from duckwords.errors import InvalidInput, ResourceLimit
+from duckwords.maps import tennis_lawns
 from duckwords.words import enumerate_dyck
 
 
@@ -142,6 +143,15 @@ def test_tennis_ball_weighted():
     assert (2 * 4 + 10 + 4) * 10 // 4 - 2 ** 5 == 23
     for n in range(SIMULATE_ROUNDS_LIMIT + 1):
         assert tennis_ball_weighted(n, "simulate") == tennis_ball_weighted(n, "closed_form")
+
+
+def test_tennis_ball_count():
+    # the lawn count is catalan(m + 1), checked against the simulated process
+    assert [catalan(n + 1) for n in range(6)] == [1, 2, 5, 14, 42, 132]
+    for n in range(SIMULATE_ROUNDS_LIMIT + 1):
+        assert len(tennis_lawns(n)) == catalan(n + 1)
+    with pytest.raises(ResourceLimit):
+        tennis_ball_weighted(SIMULATE_ROUNDS_LIMIT + 1, "simulate")
 
 
 def test_duck_k1_oracle():
