@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit, check_brute_bound
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit, check_brute_bound, check_size
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -49,12 +49,7 @@ def _emit(chunks, out: str | None) -> None:
 def cmd_triangle(args) -> int:
     from .counts import duck_triangle, underlined_triangle
 
-    if args.kind == "duck":
-        if args.method != "transform":
-            raise InvalidInput(f"triangle duck has no method {args.method!r}")
-        tri = duck_triangle(args.kmax)
-    else:
-        tri = underlined_triangle(args.kmax, args.method)
+    tri = (duck_triangle if args.kind == "duck" else underlined_triangle)(args.kmax)
     rows = [list(r) for r in tri.rows]
     if args.kind == "redvhc":
         # display in increasing permutation size, i.e. deficiency
@@ -126,9 +121,8 @@ def cmd_verify(args) -> int:
     from .counts import ENUM_KMAX, verify_identities
     from .hooks import verify_eq1
 
-    for flag, value in (("--eq1-max", args.eq1_max), ("--roundtrip-max", args.roundtrip_max)):
-        if value < 0:
-            raise InvalidInput(f"{flag} must be nonnegative, got {value}")
+    check_size(args.eq1_max, "--eq1-max")
+    check_size(args.roundtrip_max, "--roundtrip-max")
     # the roundtrips list every word, about 20 times as many at each k
     roundtrip_max = min(args.kmax, args.roundtrip_max)
     if roundtrip_max > ENUM_KMAX:
@@ -298,8 +292,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    """Print how many items of a kind there are.  Every kind but `redvhc` and
-    `vhc` is read from a closed form, such as catalan(m + 1) lawns, or a recurrence."""
+    """Print how many items of a kind there are.  Every kind but `vhc` is read
+    from a closed form, such as catalan(m + 1) lawns, or a recurrence."""
     kind = args.kind
     if kind in ("catalan", "dyck"):
         from .counts import catalan
@@ -325,9 +319,14 @@ def cmd_count(args) -> int:
         triangle = underlined_triangle if kind == "underlined" else duck_triangle
         value = triangle(k).row(k)[i] if k else 1
     elif kind == "redvhc":
-        from .hooks import red_vhc_count_brute
+        from .counts import underlined_triangle
 
-        value = red_vhc_count_brute(_require(args, "k"), _require(args, "n"), args.brute_bound)
+        k, n = _require(args, "k"), _require(args, "n")
+        check_size(k, "k")
+        check_size(n, "n")
+        # a reduced configuration with k hooks has 3k - i points, 0 <= i < k
+        triangle = underlined_triangle(k)
+        value = triangle.row(k)[3 * k - n] if 2 * k < n <= 3 * k else int(k == n == 0)
     elif kind == "vhc":
         from .hooks import count_vhcs
 
@@ -336,8 +335,7 @@ def cmd_count(args) -> int:
         from .counts import CATALAN_KMAX, catalan
 
         m = _require(args, "m")
-        if m < 0:
-            raise InvalidInput("m must be nonnegative")
+        check_size(m, "m")
         if m >= CATALAN_KMAX:
             raise ResourceLimit(f"m={m} exceeds limit {CATALAN_KMAX - 1}")
         value = catalan(m + 1)
@@ -363,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="emit a count triangle")
     p.add_argument("kind", choices=["redvhc", "duck", "underlined"])
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--method", choices=["transform", "enumerate", "brute_vhc"],
-                   default="transform")
     p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)

@@ -15,8 +15,10 @@ prefixes that end in an X are the extensions of the state one X back; so
 alone, each state packing its counts by i into one integer, for k up to
 TRANSFER_KMAX.  The underlined and reduced-configuration rows are its
 binomial transform, f_k(x) = h_k(x + 1), read off with
-`IntPolynomial.shift`.  Enumeration stays as the independent oracle
-(`underlined_triangle(method="enumerate")`), bounded by ENUM_KMAX.
+`IntPolynomial.shift`.  That is the only way the library counts them:
+enumeration (`words.enumerate_underlined`, `hooks.red_vhc_count_brute`) and
+the simulated tennis-ball process (`maps.tennis_lawns`) stay as independent
+oracles, which `verify_identities` and the tests call directly.
 
 The enumerating modules are imported only by the functions here that call
 them, so counting by recurrence loads none of them.
@@ -30,13 +32,13 @@ from math import comb, factorial
 from pathlib import Path
 
 from ._record import Record, set_field
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, check_size
 
 # duck_triangle refuses rows beyond this k; the packed recurrence, whose
 # fields grow to catalan3d(k).bit_length() + 1 bits, takes about 0.5 s there.
 TRANSFER_KMAX = 80
-# underlined_triangle(method="enumerate") refuses rows beyond this k: each row
-# takes about 18 times as long as the one before, 5 s at k = 6.
+# verify refuses roundtrips beyond this k: they list every word, and there
+# are about 20 times as many words at each k as at the one before.
 ENUM_KMAX = 7
 # catalan, catalan3d and tennis_ball_weighted refuse k beyond this: their
 # values stay under Python's 4,300-digit limit for printing an int.
@@ -44,8 +46,7 @@ CATALAN_KMAX = 2000
 
 
 def _check_catalan_k(value: int, name: str) -> None:
-    if value < 0:
-        raise InvalidInput(f"{name} must be nonnegative")
+    check_size(value, name)
     if value > CATALAN_KMAX:
         raise ResourceLimit(f"{name}={value} exceeds limit {CATALAN_KMAX}")
 
@@ -109,15 +110,11 @@ class CountTriangle(Record):
         return cls(tuple(rows))
 
 
-def _check_kmax(kmax: int) -> None:
-    if kmax < 0:
-        raise InvalidInput(f"kmax must be nonnegative, got {kmax}")
-
-
 def duck_triangle(kmax: int) -> CountTriangle:
     """
-    Duck counts by (k, i) for every k <= kmax.  A negative kmax raises
-    InvalidInput, and one above TRANSFER_KMAX raises ResourceLimit.
+    Duck counts by (k, i) for every k <= kmax.  A kmax that is not a
+    nonnegative int raises InvalidInput, and one above TRANSFER_KMAX raises
+    ResourceLimit.
 
     A transfer-matrix recurrence over 3D-Dyck prefixes, grouped by letter
     counts (x, y, z), x >= y >= z.  A state holds one integer: bits
@@ -129,7 +126,7 @@ def duck_triangle(kmax: int) -> CountTriangle:
     field, so the subtraction never borrows.  Row k is read at (k, k, k),
     whose prefixes are the words of length 3k.  Two layers of x are kept.
     """
-    _check_kmax(kmax)
+    check_size(kmax, "kmax")
     if kmax > TRANSFER_KMAX:
         raise ResourceLimit(f"kmax={kmax} exceeds recurrence limit {TRANSFER_KMAX}")
     w = catalan3d(kmax).bit_length() + 1
@@ -155,41 +152,13 @@ def duck_triangle(kmax: int) -> CountTriangle:
     return CountTriangle(tuple(rows))
 
 
-def underlined_triangle(kmax: int, method: str = "transform") -> CountTriangle:
+def underlined_triangle(kmax: int) -> CountTriangle:
     """
     Counts of (k, i)-underlined duck words, equivalently of reduced
-    312-avoiding configurations with k hooks on 3k-i points.
-
-    method:
-      "transform"  binomial transform of the duck triangle (fast; bounded by
-                   TRANSFER_KMAX);
-      "enumerate"  direct generation of underlined words (bounded by
-                   ENUM_KMAX);
-      "brute_vhc"  exhaustive hook-configuration search (needs 3k-i within
-                   DEFAULT_BRUTE_BOUND).
+    312-avoiding configurations with k hooks on 3k-i points: the binomial
+    transform of `duck_triangle(kmax)`, with its bounds.
     """
-    _check_kmax(kmax)
-    if method == "transform":
-        return _binomial_transform(duck_triangle(kmax))
-    if method == "enumerate":
-        from .words import enumerate_underlined
-
-        if kmax > ENUM_KMAX:
-            raise ResourceLimit(f"kmax={kmax} exceeds enumeration limit {ENUM_KMAX}")
-        rows = []
-        for k in range(1, kmax + 1):
-            rows.append(tuple(
-                sum(1 for _ in enumerate_underlined(k, i)) for i in range(k)
-            ))
-        return CountTriangle(tuple(rows))
-    if method == "brute_vhc":
-        from .hooks import red_vhc_count_brute
-
-        rows = []
-        for k in range(1, kmax + 1):
-            rows.append(tuple(red_vhc_count_brute(k, 3 * k - i) for i in range(k)))
-        return CountTriangle(tuple(rows))
-    raise InvalidInput(f"unknown method: {method!r}")
+    return _binomial_transform(duck_triangle(kmax))
 
 
 def _binomial_transform(duck: CountTriangle) -> CountTriangle:
@@ -232,7 +201,7 @@ class IntPolynomial(Record):
 def f_poly(k: int) -> IntPolynomial:
     """Generating polynomial of reduced-configuration counts by deficiency:
     the x^i coefficient counts reduced configurations on 3k-i points."""
-    row = underlined_triangle(k, "transform").row(k)
+    row = underlined_triangle(k).row(k)
     return IntPolynomial(row)
 
 
@@ -243,32 +212,21 @@ def h_poly(k: int) -> IntPolynomial:
 
 # --- tennis-ball numbers ---------------------------------------------------
 
-SIMULATE_ROUNDS_LIMIT = 8
 
-
-def tennis_ball_weighted(m: int, method: str = "closed_form") -> int:
+def tennis_ball_weighted(m: int) -> int:
     """
     The m-th weighted tennis-ball number: the sum of all ball labels on the
-    lawn over every reachable configuration after m rounds.  The closed form
-    refuses m above CATALAN_KMAX, the simulation m above
-    SIMULATE_ROUNDS_LIMIT, with ResourceLimit.
+    lawn over every reachable configuration after m rounds, read from its
+    closed form.  It refuses m above CATALAN_KMAX with ResourceLimit.
+    `verify_identities` and the tests check it against the simulated
+    process, `maps.tennis_lawns`.
     """
-    if m < 0:
-        raise InvalidInput("m must be nonnegative")
-    if method == "simulate":
-        from .maps import tennis_lawns
-
-        if m > SIMULATE_ROUNDS_LIMIT:
-            raise ResourceLimit(f"m={m} exceeds simulation limit {SIMULATE_ROUNDS_LIMIT}")
-        return sum(sum(lawn) for lawn in tennis_lawns(m))
-    if method == "closed_form":
-        _check_catalan_k(m, "m")
-        num = (2 * m * m + 5 * m + 4) * comb(2 * m + 1, m)
-        q, r = divmod(num, m + 2)
-        if r:
-            raise ArithmeticError(f"weighted tennis-ball formula not integral at m={m}")
-        return q - 2 ** (2 * m + 1)
-    raise InvalidInput(f"unknown method: {method!r}")
+    _check_catalan_k(m, "m")
+    num = (2 * m * m + 5 * m + 4) * comb(2 * m + 1, m)
+    q, r = divmod(num, m + 2)
+    if r:
+        raise ArithmeticError(f"weighted tennis-ball formula not integral at m={m}")
+    return q - 2 ** (2 * m + 1)
 
 
 def duck_k1_oracle(k: int) -> int:
@@ -282,8 +240,7 @@ def duck_k1_oracle(k: int) -> int:
     holds the number of prefixes reaching it and the sum, over them, of the
     letter counts before each U past the first.
     """
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
+    check_size(k, "k")
     # prev[d] = (prefixes, sum) at (u - 1, d); cur[d] the same at (u, d)
     prev: list[tuple[int, int]] = []
     for u in range(k + 1):
@@ -344,6 +301,9 @@ def verify_identities(kmax: int) -> dict:
     underlined words (identity 4) and process simulation (identity 8) are
     capped at VERIFY_ENUM_KMAX and VERIFY_SIMULATE_N.
     """
+    from .maps import tennis_lawns
+    from .words import enumerate_underlined
+
     duck = duck_triangle(kmax)
     underlined = _binomial_transform(duck)
     checks: list[dict] = []
@@ -367,9 +327,11 @@ def verify_identities(kmax: int) -> dict:
         values=[duck.row(k)[k - 1] for k in range(1, kmax + 1)])
 
     gen_max = min(kmax, VERIFY_ENUM_KMAX)
-    direct = underlined_triangle(gen_max, "enumerate")
     add("underline_transform", "binomial transform matches direct generation of underlined words",
-        all(direct.row(k) == underlined.row(k) for k in range(1, gen_max + 1)),
+        all(
+            underlined.row(k) == tuple(sum(1 for _ in enumerate_underlined(k, i)) for i in range(k))
+            for k in range(1, gen_max + 1)
+        ),
         checked_up_to=gen_max)
 
     add("total_power_sum", "underlined row sums equal sum of 2^j duck entries",
@@ -393,11 +355,11 @@ def verify_identities(kmax: int) -> dict:
     tb_values = []
     for k in range(2, kmax + 1):
         expected = duck.row(k)[1]
-        closed = tennis_ball_weighted(k - 1, "closed_form")
+        closed = tennis_ball_weighted(k - 1)
         oracle = duck_k1_oracle(k)
         ok = closed == expected == oracle
         if k - 1 <= VERIFY_SIMULATE_N:
-            ok = ok and tennis_ball_weighted(k - 1, "simulate") == expected
+            ok = ok and sum(map(sum, tennis_lawns(k - 1))) == expected
         tb_values.append({"k": k, "duck": expected, "closed_form": closed, "oracle": oracle})
         tb_ok = tb_ok and ok
     add("duck_k1_tennis_ball", "duck entry i=1 equals the weighted tennis-ball number",

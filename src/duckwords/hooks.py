@@ -37,7 +37,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from ._record import Record, set_field
-from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, check_brute_bound
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, check_brute_bound, check_size
 from .perms import (
     Permutation,
     check_permutation,
@@ -316,8 +316,7 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
 
 def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:
     """|RedVHC_k(Av_n(312))| by exhaustive enumeration."""
-    if k < 0:
-        raise InvalidInput(f"k must be nonnegative, got {k}")
+    check_size(k, "k")
     check_brute_bound(n, bound)
     return sum(1 for _ in enumerate_red_vhcs_av312(n, k))
 

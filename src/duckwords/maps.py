@@ -34,7 +34,7 @@ u.underlines)`; its contraction is `phi_prime_inverse` of the underlined word.
 """
 from __future__ import annotations
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit, check_size
 from .hooks import HookConfig
 from .perms import descent_table
 from .words import UnderlinedDuckWord, is_3d_dyck
@@ -76,7 +76,7 @@ def phi_inverse(w: str) -> HookConfig:
     by its descent bottom, whose height is the largest unused X height
     below the top.  Hooks pair Y's with Z's like matched parentheses.
     """
-    if not is_3d_dyck(w):
+    if not isinstance(w, str) or not is_3d_dyck(w):
         raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
     return _build(w)
 
@@ -126,15 +126,21 @@ def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:
 
 # --- tennis-ball process ---------------------------------------------------
 
+# tennis_lawns refuses m beyond this: each round holds about 3.5 times as
+# many lawns as the one before, and m = 11 takes 4 s and over 300 MB.
+SIMULATE_ROUNDS_LIMIT = 8
+
 
 def tennis_lawns(m: int) -> frozenset[frozenset[int]]:
     """
     All reachable lawn configurations after m rounds of the two-in/one-out
     process with balls labelled 1..2m, by breadth-first simulation over
-    room states (the lawn is the complement of the room).
+    room states (the lawn is the complement of the room).  An m above
+    SIMULATE_ROUNDS_LIMIT raises ResourceLimit.
     """
-    if m < 0:
-        raise InvalidInput("m must be nonnegative")
+    check_size(m, "m")
+    if m > SIMULATE_ROUNDS_LIMIT:
+        raise ResourceLimit(f"m={m} exceeds simulation limit {SIMULATE_ROUNDS_LIMIT}")
     rooms: set[frozenset[int]] = {frozenset()}
     for t in range(1, m + 1):
         nxt: set[frozenset[int]] = set()

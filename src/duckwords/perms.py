@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_size
 
 Permutation = tuple[int, ...]
 
@@ -116,8 +116,7 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
     >>> [format_permutation(p) for p in enumerate_av312(3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1', '3 2 1']
     """
-    if n < 0:
-        raise InvalidInput("n must be nonnegative")
+    check_size(n, "n")
 
     out: list[int] = []
     stack: list[int] = []

@@ -24,7 +24,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from ._record import Record, set_field
-from .errors import InvalidInput
+from .errors import InvalidInput, check_size
 
 
 def is_dyck(w: str) -> bool:
@@ -51,9 +51,11 @@ def psi(lawn: frozenset[int] | set[int], m: int) -> str:
     when this word is a Dyck word; tests check that against
     `maps.tennis_lawns`.  Balls are ints, not bools or floats.
     """
-    if m < 0:
-        raise InvalidInput("m must be nonnegative")
-    lawn = frozenset(lawn)
+    check_size(m, "m")
+    try:
+        lawn = frozenset(lawn)
+    except TypeError as exc:
+        raise InvalidInput(f"a lawn is a set of balls, not {lawn!r}") from exc
     if not all(type(ball) is int and 1 <= ball <= 2 * m for ball in lawn):
         raise InvalidInput(f"balls must be ints in 1..{2 * m}: {set(lawn)}")
     body = "".join("U" if ball in lawn else "D" for ball in range(1, 2 * m + 1))
@@ -95,7 +97,7 @@ def duck_index(w: str) -> int:
     >>> duck_index("XYZXYZ")
     0
     """
-    if not is_3d_dyck(w):
+    if not isinstance(w, str) or not is_3d_dyck(w):
         raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
     return len(non_x_preceded_ys(w))
 
@@ -115,15 +117,13 @@ def enumerate_dyck(k: int) -> Iterator[str]:
             yield from walk(prefix, ups + 1, height + 1)
             prefix.pop()
 
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
+    check_size(k, "k")
     yield from walk([], 0, 0)
 
 
 def enumerate_3d_dyck(k: int) -> Iterator[str]:
     """3D-Dyck words of length 3k in lexicographic order (X < Y < Z)."""
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
+    check_size(k, "k")
 
     def walk(prefix: list[str], x: int, y: int, z: int) -> Iterator[str]:
         if len(prefix) == 3 * k:
@@ -202,14 +202,16 @@ class UnderlinedDuckWord(Record):
 def underline_all(w: str) -> UnderlinedDuckWord:
     """The canonical underlined form of a duck word: every non-X-preceded
     Y underlined."""
+    if not isinstance(w, str):
+        raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
     return UnderlinedDuckWord(w, non_x_preceded_ys(w))
 
 
 def check_duck_range(k: int, i: int) -> None:
-    """Raise InvalidInput unless 0 <= i <= k-1 (or i = 0 when k = 0)."""
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
-    if not 0 <= i <= max(k - 1, 0):
+    """Raise InvalidInput unless k and i are ints with 0 <= i <= k-1 (or i = 0
+    when k = 0)."""
+    check_size(k, "k")
+    if type(i) is not int or not 0 <= i <= max(k - 1, 0):
         raise InvalidInput(f"need 0 <= i <= k-1, got k={k}, i={i}")
 
 

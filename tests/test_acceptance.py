@@ -62,7 +62,7 @@ def test_criterion_2_duck_count_triangle(capsys):
 
 
 def test_criterion_3_brute_force_cross_validation():
-    transform = underlined_triangle(5, "transform")
+    transform = underlined_triangle(5)
     ok = True
     for k in range(1, 6):
         for i in range(k):
@@ -70,6 +70,10 @@ def test_criterion_3_brute_force_cross_validation():
             if n > 11:
                 continue
             ok = ok and red_vhc_count_brute(k, n, bound=11) == transform.row(k)[i]
+    # and against listing the underlined words
+    for k in range(1, 6):
+        ok = ok and transform.row(k) == tuple(
+            sum(1 for _ in enumerate_underlined(k, i)) for i in range(k))
     # spot values among the checked cells
     ok = ok and red_vhc_count_brute(1, 3) == 1
     ok = ok and red_vhc_count_brute(2, 5) == 3
@@ -131,9 +135,9 @@ def test_criterion_7_rewriting_codec():
 def test_criterion_8_tennis_ball_process():
     ok = all(len(tennis_lawns(k - 1)) == catalan(k) for k in range(1, 7))
     for n in range(1, 7):
-        ok = ok and tennis_ball_weighted(n, "simulate") == tennis_ball_weighted(n, "closed_form")
-    ok = ok and tennis_ball_weighted(2, "simulate") == 23
-    ok = ok and tennis_ball_weighted(3, "simulate") == 131
+        ok = ok and sum(map(sum, tennis_lawns(n))) == tennis_ball_weighted(n)
+    ok = ok and sum(map(sum, tennis_lawns(2))) == 23
+    ok = ok and sum(map(sum, tennis_lawns(3))) == 131
     report(8, "tennis-ball process", ok)
 
 

@@ -10,8 +10,9 @@ import pytest
 
 from duckwords import cli
 from duckwords.cli import main
-from duckwords.counts import CATALAN_KMAX, ENUM_KMAX, SIMULATE_ROUNDS_LIMIT, TRANSFER_KMAX
-from duckwords.maps import tennis_lawns
+from duckwords.counts import CATALAN_KMAX, ENUM_KMAX, TRANSFER_KMAX
+from duckwords.hooks import red_vhc_count_brute
+from duckwords.maps import SIMULATE_ROUNDS_LIMIT, tennis_lawns
 from duckwords.words import enumerate_3d_dyck
 
 FIG5_JSON = '{"perm":[3,2,4,1,7,8,6,9,10,11,5,12],"hooks":[[1,9],[3,5],[6,8],[10,12]]}'
@@ -20,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the option dests of each command: only what the command reads
 OPTIONS = {
-    "triangle": {"kind", "kmax", "method", "format", "out"},
+    "triangle": {"kind", "kmax", "format", "out"},
     "verify": {"kmax", "eq1_max", "roundtrip_max", "brute_bound", "golden_dir", "out"},
     "map": {"direction", "input", "roundtrip"},
     "render": {"input", "format", "labels", "out"},
@@ -133,6 +134,23 @@ def test_enumerate_and_count(capsys):
     assert (code, out.strip()) == (0, "42")
     code, out = run(capsys, "count", "redvhc", "--k", "2", "--n", "5")
     assert (code, out.strip()) == (0, "3")
+
+
+def test_count_redvhc_reads_the_triangle(capsys):
+    # every cell against the brute force, those off the triangle included
+    for k in range(5):
+        for n in range(11):
+            code, out = run(capsys, "count", "redvhc", "--k", str(k), "--n", str(n))
+            assert (code, out) == (0, f"{red_vhc_count_brute(k, n)}\n"), (k, n)
+    # beyond the brute-force bound
+    code, out = run(capsys, "count", "redvhc", "--k", "4", "--n", "12")
+    assert (code, out) == (0, "462\n")
+    code, out = run(capsys, "count", "redvhc", "--k", str(TRANSFER_KMAX + 1),
+                    "--n", str(3 * TRANSFER_KMAX + 3))
+    assert (code, out) == (3, "")
+    for k, n in (("-1", "3"), ("1", "-3")):
+        code, out = run(capsys, "count", "redvhc", "--k", k, "--n", n)
+        assert (code, out) == (2, "")
 
 
 def test_enumerate_output(capsys, tmp_path):
@@ -255,7 +273,9 @@ def test_map_psi(capsys):
 
 
 def test_resource_limit_exit_3(capsys):
-    assert main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"])
+    assert exc.value.code == 2
     assert main(["triangle", "duck", "--kmax", str(TRANSFER_KMAX + 1)]) == 3
     # the roundtrips list every word, refused before any other check runs
     code, out = run(capsys, "verify", "--kmax", "50", "--roundtrip-max", str(ENUM_KMAX + 1))
@@ -307,8 +327,11 @@ def test_triangle_negative_kmax_exit_2(capsys):
 
 
 def test_triangle_duck_method_exit_2(capsys):
-    code, out = run(capsys, "triangle", "duck", "--kmax", "3", "--method", "enumerate")
-    assert (code, out) == (2, "")
+    # the triangles have one method each, so there is no option to choose one
+    with pytest.raises(SystemExit) as exc:
+        main(["triangle", "duck", "--kmax", "3", "--method", "enumerate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_small(capsys, tmp_path):
@@ -328,8 +351,8 @@ def test_verify_negative_range_exit_2(capsys):
         code, out = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
     # a negative brute-force bound is bad input, not a resource limit
-    for argv in (["verify"], ["count", "redvhc", "--k", "1", "--n", "3"],
-                 ["count", "vhc", "--perm", "213"], ["enumerate", "vhc", "--perm", "213"]):
+    for argv in (["verify"], ["count", "vhc", "--perm", "213"],
+                 ["enumerate", "vhc", "--perm", "213"]):
         code, out = run(capsys, *argv, "--brute-bound", "-1")
         assert (code, out) == (2, "")
 
@@ -374,7 +397,7 @@ def test_each_command_has_only_the_options_it_reads():
     options = {name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
                for name, p in sub.choices.items()}
     assert options == OPTIONS
-    assert sum(len(dests) for dests in options.values()) == 33
+    assert sum(len(dests) for dests in options.values()) == 32
 
 
 def test_removed_flags_exit_2(capsys, tmp_path):

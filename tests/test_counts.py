@@ -1,7 +1,6 @@
 import pytest
 
 from duckwords.counts import (
-    SIMULATE_ROUNDS_LIMIT,
     TRANSFER_KMAX,
     CountTriangle,
     IntPolynomial,
@@ -17,8 +16,9 @@ from duckwords.counts import (
     verify_identities,
 )
 from duckwords.errors import InvalidInput, ResourceLimit
-from duckwords.maps import tennis_lawns
-from duckwords.words import enumerate_dyck
+from duckwords.hooks import red_vhc_count_brute
+from duckwords.maps import SIMULATE_ROUNDS_LIMIT, tennis_lawns
+from duckwords.words import enumerate_dyck, enumerate_underlined
 
 
 def test_catalan():
@@ -82,28 +82,27 @@ def test_duck_triangle_matches_the_list_recurrence():
 
 
 def test_underlined_triangle_methods_agree():
-    transform = underlined_triangle(3, "transform")
-    enumerated = underlined_triangle(3, "enumerate")
-    brute = underlined_triangle(3, "brute_vhc")
-    assert transform == enumerated == brute
+    # the binomial transform against listing the words and searching the
+    # configurations
+    transform = underlined_triangle(3)
+    for k in range(1, 4):
+        assert transform.row(k) == tuple(
+            sum(1 for _ in enumerate_underlined(k, i)) for i in range(k))
+        assert transform.row(k) == tuple(red_vhc_count_brute(k, 3 * k - i) for i in range(k))
     assert transform.row(3) == (42, 51, 14)
 
 
 def test_enum_limit_raises():
     with pytest.raises(ResourceLimit):
-        underlined_triangle(9, "enumerate")
-    with pytest.raises(ResourceLimit):
         duck_triangle(TRANSFER_KMAX + 1)
     with pytest.raises(ResourceLimit, match="n=12 exceeds brute-force bound 10"):
-        underlined_triangle(4, "brute_vhc")
+        red_vhc_count_brute(4, 12)
 
 
 def test_triangle_negative_kmax_raises():
-    with pytest.raises(InvalidInput):
-        duck_triangle(-1)
-    for method in ("transform", "enumerate", "brute_vhc"):
+    for triangle in (duck_triangle, underlined_triangle):
         with pytest.raises(InvalidInput):
-            underlined_triangle(-1, method)
+            triangle(-1)
     assert duck_triangle(0).rows == underlined_triangle(0).rows == ()
 
 
@@ -116,7 +115,7 @@ def test_duck_triangle_closed_forms():
         assert row[0] == catalan(k)
         assert row[k - 1] == catalan(k) * catalan(k + 2) - catalan(k + 1) ** 2
         if k >= 2:
-            assert row[1] == tennis_ball_weighted(k - 1, "closed_form")
+            assert row[1] == tennis_ball_weighted(k - 1)
 
 
 def test_int_polynomial():
@@ -142,7 +141,7 @@ def test_tennis_ball_weighted():
     # closed form: (2n^2+5n+4) C(2n+1,n)/(n+2) - 2^(2n+1) at n=2
     assert (2 * 4 + 10 + 4) * 10 // 4 - 2 ** 5 == 23
     for n in range(SIMULATE_ROUNDS_LIMIT + 1):
-        assert tennis_ball_weighted(n, "simulate") == tennis_ball_weighted(n, "closed_form")
+        assert sum(map(sum, tennis_lawns(n))) == tennis_ball_weighted(n)
 
 
 def test_tennis_ball_count():
@@ -151,7 +150,7 @@ def test_tennis_ball_count():
     for n in range(SIMULATE_ROUNDS_LIMIT + 1):
         assert len(tennis_lawns(n)) == catalan(n + 1)
     with pytest.raises(ResourceLimit):
-        tennis_ball_weighted(SIMULATE_ROUNDS_LIMIT + 1, "simulate")
+        tennis_lawns(SIMULATE_ROUNDS_LIMIT + 1)
 
 
 def test_duck_k1_oracle():

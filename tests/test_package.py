@@ -1,5 +1,5 @@
-"""The value classes, the lazily loaded package namespace, and what one CLI
-command imports."""
+"""The value classes, the lazily loaded package namespace, arguments of the
+wrong type, and what one CLI command imports."""
 import copy
 import json
 import os
@@ -107,12 +107,43 @@ def test_package_names():
     assert not hasattr(duckwords, "nope")
 
 
+# a size that is not an int, or a word or lawn of the wrong type; each call
+# is made in full, so a generator is drawn dry
+WRONG_TYPES = {
+    "enumerate_dyck(2.5)": lambda: list(duckwords.enumerate_dyck(2.5)),
+    "enumerate_3d_dyck(2.5)": lambda: list(duckwords.enumerate_3d_dyck(2.5)),
+    "enumerate_3d_dyck(True)": lambda: list(duckwords.enumerate_3d_dyck(True)),
+    "enumerate_av312(2.5)": lambda: list(duckwords.enumerate_av312(2.5)),
+    "enumerate_underlined(2.5, 0)": lambda: list(duckwords.enumerate_underlined(2.5, 0)),
+    "enumerate_underlined(2, 0.0)": lambda: list(duckwords.enumerate_underlined(2, 0.0)),
+    "enumerate_rewritten(2.5, 0)": lambda: list(duckwords.enumerate_rewritten(2.5, 0)),
+    "phi_inverse(None)": lambda: duckwords.phi_inverse(None),
+    "duck_index(None)": lambda: duckwords.duck_index(None),
+    "underline_all(None)": lambda: duckwords.underline_all(None),
+    "psi(5, 1)": lambda: duckwords.psi(5, 1),
+    "psi({1}, 1.5)": lambda: duckwords.psi({1}, 1.5),
+    "tennis_lawns(2.0)": lambda: duckwords.tennis_lawns(2.0),
+    "duck_triangle(True)": lambda: duckwords.duck_triangle(True),
+    "catalan(3.0)": lambda: duckwords.catalan(3.0),
+    "duck_k1_oracle(2.5)": lambda: duckwords.duck_k1_oracle(2.5),
+    "verify_eq1(2.5)": lambda: duckwords.verify_eq1(2.5),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_wrong_types_raise_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
 @pytest.mark.parametrize("argv, printed, needed, unneeded", [
     (["count", "catalan3d", "--k", "3"], "42", "duckwords.counts",
      ("dataclasses", "duckwords.hooks", "duckwords.maps", "duckwords.words")),
+    (["count", "redvhc", "--k", "4", "--n", "12"], "462", "duckwords.counts",
+     ("duckwords.hooks", "duckwords.perms", "json")),
     (["map", "psi", "1,2"], "UUUDDD", "duckwords.words",
      ("duckwords.hooks", "duckwords.maps", "duckwords.perms", "json")),
-], ids=["count", "map-psi"])
+], ids=["count", "count-redvhc", "map-psi"])
 def test_command_imports_only_what_it_runs(argv, printed, needed, unneeded):
     # a fresh interpreter; whatever `site` loads is in `before`
     script = (
