@@ -8,6 +8,11 @@ ends the command quietly with exit 0.
 
 Each command imports the modules it runs inside its own function, so a
 command loads only what it needs.
+
+`verify --kmax K` prints the report of `counts.verify_identities(K)`, one
+entry per check, and names each failed check on stderr.  --kmax is its only
+size: the checks that list, search or simulate run to the fixed sizes
+`counts.VERIFY_*`.
 """
 from __future__ import annotations
 
@@ -69,94 +74,17 @@ def cmd_triangle(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def _run_roundtrips(kmax: int) -> dict:
-    from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse
-    from .words import decode, enumerate_3d_dyck, enumerate_underlined, rewrite, underline_all
-
-    checked = 0
-    failures: list[str] = []
-    for k in range(1, kmax + 1):
-        for w in enumerate_3d_dyck(k):
-            checked += 1
-            if phi(phi_inverse(w)) != w:
-                failures.append(f"phi roundtrip failed on {w}")
-            u = underline_all(w)
-            checked += 1
-            if decode(rewrite(u)) != u:
-                failures.append(f"rewrite roundtrip failed on {u.to_text()}")
-        for i in range(k):
-            for u in enumerate_underlined(k, i):
-                checked += 1
-                if phi_prime(phi_prime_inverse(u)) != u:
-                    failures.append(f"phi' roundtrip failed on {u.to_text()}")
-    return {"kmax": kmax, "checked": checked, "failures": failures, "pass": not failures}
-
-
-def _check_golden(kmax: int, golden_dir: str | None) -> dict:
-    from .counts import _binomial_transform, duck_triangle, load_golden_triangle
-
-    mismatches: list[dict] = []
-    golden_duck = load_golden_triangle("duck", golden_dir)
-    golden_red = load_golden_triangle("redvhc", golden_dir)
-    upto = min(kmax, golden_duck.kmax, golden_red.kmax)
-    duck = duck_triangle(upto)
-    underlined = _binomial_transform(duck)
-    for k in range(1, upto + 1):
-        if duck.row(k) != golden_duck.row(k):
-            mismatches.append(
-                {"triangle": "duck", "k": k,
-                 "computed": list(duck.row(k)), "golden": list(golden_duck.row(k))}
-            )
-        if underlined.row(k) != golden_red.row(k):
-            mismatches.append(
-                {"triangle": "redvhc", "k": k,
-                 "computed": list(underlined.row(k)), "golden": list(golden_red.row(k))}
-            )
-    return {"kmax": upto, "mismatches": mismatches, "pass": not mismatches}
-
-
 def cmd_verify(args) -> int:
     import json
 
-    from .counts import ENUM_KMAX, verify_identities
-    from .hooks import verify_eq1
+    from .counts import verify_identities
 
-    check_size(args.eq1_max, "--eq1-max")
-    check_size(args.roundtrip_max, "--roundtrip-max")
-    # the roundtrips list every word, about 20 times as many at each k
-    roundtrip_max = min(args.kmax, args.roundtrip_max)
-    if roundtrip_max > ENUM_KMAX:
-        raise ResourceLimit(f"roundtrips to k={roundtrip_max} exceed limit {ENUM_KMAX}")
-    report = {
-        "identities": verify_identities(args.kmax),
-        "eq1": [verify_eq1(n, args.brute_bound) for n in range(args.eq1_max + 1)],
-        "roundtrips": _run_roundtrips(roundtrip_max),
-        "golden": _check_golden(args.kmax, args.golden_dir),
-    }
-    report["all_pass"] = (
-        report["identities"]["all_pass"]
-        and all(r["equal"] for r in report["eq1"])
-        and report["roundtrips"]["pass"]
-        and report["golden"]["pass"]
-    )
+    report = verify_identities(args.kmax, args.golden_dir)
     _emit([json.dumps(report, indent=2)], args.out)
-    if not report["all_pass"]:
-        for entry in report["identities"]["identities"]:
-            if not entry["pass"]:
-                print(f"FAILED identity: {entry['id']}", file=sys.stderr)
-        for r in report["eq1"]:
-            if not r["equal"]:
-                print(f"FAILED eq1 at n={r['n']}: {r['lhs']} != {r['rhs']}", file=sys.stderr)
-        for msg in report["roundtrips"]["failures"]:
-            print(f"FAILED {msg}", file=sys.stderr)
-        for mm in report["golden"]["mismatches"]:
-            print(
-                f"FAILED golden {mm['triangle']} row {mm['k']}: "
-                f"computed {mm['computed']} != golden {mm['golden']}",
-                file=sys.stderr,
-            )
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+    for entry in report["identities"]:
+        if not entry["pass"]:
+            print(f"FAILED {entry['id']}: {entry['description']}", file=sys.stderr)
+    return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAIL
 
 
 # --- map --------------------------------------------------------------------
@@ -367,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--eq1-max", type=int, default=6)
-    p.add_argument("--roundtrip-max", type=int, default=4)
-    p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
     p.add_argument("--golden-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -37,9 +37,6 @@ from .errors import InvalidInput, ResourceLimit, check_size
 # duck_triangle refuses rows beyond this k; the packed recurrence, whose
 # fields grow to catalan3d(k).bit_length() + 1 bits, takes about 0.5 s there.
 TRANSFER_KMAX = 80
-# verify refuses roundtrips beyond this k: they list every word, and there
-# are about 20 times as many words at each k as at the one before.
-ENUM_KMAX = 7
 # catalan, catalan3d and tennis_ball_weighted refuse k beyond this: their
 # values stay under Python's 4,300-digit limit for printing an int.
 CATALAN_KMAX = 2000
@@ -91,6 +88,9 @@ class CountTriangle(Record):
         return len(self.rows)
 
     def row(self, k: int) -> tuple[int, ...]:
+        """Row k; InvalidInput unless 1 <= k <= kmax."""
+        if type(k) is not int or not 1 <= k <= len(self.rows):
+            raise InvalidInput(f"row k={k!r} is outside 1..{len(self.rows)}")
         return self.rows[k - 1]
 
     def to_csv(self) -> str:
@@ -200,9 +200,10 @@ class IntPolynomial(Record):
 
 def f_poly(k: int) -> IntPolynomial:
     """Generating polynomial of reduced-configuration counts by deficiency:
-    the x^i coefficient counts reduced configurations on 3k-i points."""
-    row = underlined_triangle(k).row(k)
-    return IntPolynomial(row)
+    the x^i coefficient counts reduced configurations on 3k-i points.
+    f_0 is the constant 1: the empty configuration."""
+    check_size(k, "k")
+    return IntPolynomial(underlined_triangle(k).row(k) if k else (1,))
 
 
 def h_poly(k: int) -> IntPolynomial:
@@ -287,69 +288,90 @@ def load_golden_triangle(name: str, directory: str | Path | None = None) -> Coun
 # --- identity suite --------------------------------------------------------
 
 
-# verify_identities generates underlined words directly only for k up to
-# VERIFY_ENUM_KMAX, and simulates the tennis-ball process only for n up to
-# VERIFY_SIMULATE_N: both grow much faster than the other checks.
+# verify_identities lists underlined words only for k up to VERIFY_ENUM_KMAX,
+# simulates the tennis-ball process only for n up to VERIFY_SIMULATE_N,
+# checks Eq. (1) by brute force for n up to VERIFY_EQ1_N, and runs the
+# roundtrips, which list every word, only for k up to VERIFY_ROUNDTRIP_KMAX:
+# each grows much faster than the other checks.
 VERIFY_ENUM_KMAX = 5
 VERIFY_SIMULATE_N = 6
+VERIFY_EQ1_N = 6
+VERIFY_ROUNDTRIP_KMAX = 4
 
 
-def verify_identities(kmax: int) -> dict:
+def _roundtrip_failures(kmax: int) -> tuple[int, list[str]]:
+    """The number of phi, rewrite and phi' roundtrips over every word with
+    k <= kmax, and a message for each one that fails."""
+    from .maps import phi, phi_inverse, phi_prime, phi_prime_inverse
+    from .words import decode, enumerate_3d_dyck, enumerate_underlined, rewrite, underline_all
+
+    checked = 0
+    failures: list[str] = []
+    for k in range(1, kmax + 1):
+        for w in enumerate_3d_dyck(k):
+            checked += 2
+            if phi(phi_inverse(w)) != w:
+                failures.append(f"phi roundtrip failed on {w}")
+            u = underline_all(w)
+            if decode(rewrite(u)) != u:
+                failures.append(f"rewrite roundtrip failed on {u.to_text()}")
+        for i in range(k):
+            for u in enumerate_underlined(k, i):
+                checked += 1
+                if phi_prime(phi_prime_inverse(u)) != u:
+                    failures.append(f"phi' roundtrip failed on {u.to_text()}")
+    return checked, failures
+
+
+def verify_identities(kmax: int, golden_dir: str | Path | None = None) -> dict:
     """
-    Check the counting identities for every k <= kmax.  Returns a report
-    with one machine-readable entry per identity; direct generation of
-    underlined words (identity 4) and process simulation (identity 8) are
-    capped at VERIFY_ENUM_KMAX and VERIFY_SIMULATE_N.
+    Check the paper's claims for every k <= kmax: the counting identities,
+    Eq. (1), the phi, phi' and rewrite roundtrips, and the triangles against
+    the golden files (from `golden_dir` if given, see `load_golden_triangle`).
+    Returns {"kmax", "identities", "all_pass"}, with one entry
+    {"id", "description", "pass", ...details} per check.  The checks that
+    list or simulate are capped by the VERIFY_* constants above.
     """
+    from .hooks import verify_eq1
     from .maps import tennis_lawns
     from .words import enumerate_underlined
 
     duck = duck_triangle(kmax)
     underlined = _binomial_transform(duck)
+    golden = {"duck": (duck, load_golden_triangle("duck", golden_dir)),
+              "redvhc": (underlined, load_golden_triangle("redvhc", golden_dir))}
     checks: list[dict] = []
 
     def add(ident: str, description: str, ok: bool, **details) -> None:
         checks.append({"id": ident, "description": description, "pass": bool(ok), **details})
 
-    rows_ok = all(sum(duck.row(k)) == catalan3d(k) for k in range(1, kmax + 1))
-    add("row_sum_3d_catalan", "duck row sums equal the 3D-Catalan numbers", rows_ok,
-        values=[sum(duck.row(k)) for k in range(1, kmax + 1)])
+    ks = range(1, kmax + 1)
+    add("row_sum_3d_catalan", "duck row sums equal the 3D-Catalan numbers",
+        all(sum(duck.row(k)) == catalan3d(k) for k in ks), values=[sum(r) for r in duck.rows])
 
     add("duck_i0_catalan", "duck entry i=0 equals the Catalan number",
-        all(duck.row(k)[0] == catalan(k) for k in range(1, kmax + 1)),
-        values=[duck.row(k)[0] for k in range(1, kmax + 1)])
+        all(duck.row(k)[0] == catalan(k) for k in ks), values=[r[0] for r in duck.rows])
 
     add("duck_top_hankel", "duck entry i=k-1 equals C_k C_{k+2} - C_{k+1}^2",
-        all(
-            duck.row(k)[k - 1] == catalan(k) * catalan(k + 2) - catalan(k + 1) ** 2
-            for k in range(1, kmax + 1)
-        ),
-        values=[duck.row(k)[k - 1] for k in range(1, kmax + 1)])
+        all(duck.row(k)[k - 1] == catalan(k) * catalan(k + 2) - catalan(k + 1) ** 2 for k in ks),
+        values=[r[-1] for r in duck.rows])
 
     gen_max = min(kmax, VERIFY_ENUM_KMAX)
     add("underline_transform", "binomial transform matches direct generation of underlined words",
-        all(
-            underlined.row(k) == tuple(sum(1 for _ in enumerate_underlined(k, i)) for i in range(k))
-            for k in range(1, gen_max + 1)
-        ),
+        all(underlined.row(k) == tuple(sum(1 for _ in enumerate_underlined(k, i)) for i in range(k))
+            for k in range(1, gen_max + 1)),
         checked_up_to=gen_max)
 
     add("total_power_sum", "underlined row sums equal sum of 2^j duck entries",
-        all(
-            sum(underlined.row(k)) == sum(2 ** j * duck.row(k)[j] for j in range(k))
-            for k in range(1, kmax + 1)
-        ),
-        values=[sum(underlined.row(k)) for k in range(1, kmax + 1)])
+        all(sum(underlined.row(k)) == sum(2 ** j * duck.row(k)[j] for j in range(k)) for k in ks),
+        values=[sum(r) for r in underlined.rows])
 
     add("alternating_sum_catalan", "alternating underlined row sums equal the Catalan numbers",
-        all(
-            sum((-1) ** i * underlined.row(k)[i] for i in range(k)) == catalan(k)
-            and IntPolynomial(underlined.row(k))(-1) == catalan(k)
-            for k in range(1, kmax + 1)
-        ))
+        all(sum((-1) ** i * underlined.row(k)[i] for i in range(k)) == catalan(k)
+            and IntPolynomial(underlined.row(k))(-1) == catalan(k) for k in ks))
 
     add("f_at_zero_3d_catalan", "constant term of the deficiency polynomial is the 3D-Catalan number",
-        all(IntPolynomial(underlined.row(k))(0) == catalan3d(k) for k in range(1, kmax + 1)))
+        all(IntPolynomial(underlined.row(k))(0) == catalan3d(k) for k in ks))
 
     tb_ok = True
     tb_values = []
@@ -366,10 +388,26 @@ def verify_identities(kmax: int) -> dict:
         tb_ok, values=tb_values, simulated_up_to=max(0, min(kmax - 1, VERIFY_SIMULATE_N)))
 
     add("h_poly_positive", "shifted polynomial has strictly positive coefficients",
-        all(
-            all(c > 0 for c in IntPolynomial(underlined.row(k)).shift(-1).coefficients)
-            for k in range(1, kmax + 1)
-        ))
+        all(all(c > 0 for c in IntPolynomial(r).shift(-1).coefficients) for r in underlined.rows))
+
+    eq1 = [verify_eq1(n) for n in range(VERIFY_EQ1_N + 1)]
+    add("eq1", "sum of #VHC over Av_n(312) equals sum of C(n, r) |RedVHC(Av_r(312))|",
+        all(r["equal"] for r in eq1), checked_up_to=VERIFY_EQ1_N, values=eq1)
+
+    roundtrip_max = min(kmax, VERIFY_ROUNDTRIP_KMAX)
+    checked, failures = _roundtrip_failures(roundtrip_max)
+    add("roundtrips", "phi, phi' and rewrite/decode invert each other on every word",
+        not failures, checked_up_to=roundtrip_max, checked=checked, failures=failures)
+
+    golden_max = min(kmax, *(g.kmax for _, g in golden.values()))
+    mismatches = [
+        {"triangle": name, "k": k, "computed": list(tri.row(k)), "golden": list(g.row(k))}
+        for k in range(1, golden_max + 1)
+        for name, (tri, g) in golden.items()
+        if tri.row(k) != g.row(k)
+    ]
+    add("golden_triangles", "duck and reduced-configuration rows equal the golden triangles",
+        not mismatches, checked_up_to=golden_max, mismatches=mismatches)
 
     return {
         "kmax": kmax,

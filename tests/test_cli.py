@@ -10,8 +10,8 @@ import pytest
 
 from duckwords import cli
 from duckwords.cli import main
-from duckwords.counts import CATALAN_KMAX, ENUM_KMAX, TRANSFER_KMAX
-from duckwords.hooks import red_vhc_count_brute
+from duckwords.counts import CATALAN_KMAX, TRANSFER_KMAX
+from duckwords.hooks import red_vhc_count_brute, verify_eq1
 from duckwords.maps import SIMULATE_ROUNDS_LIMIT, tennis_lawns
 from duckwords.words import enumerate_3d_dyck
 
@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the option dests of each command: only what the command reads
 OPTIONS = {
     "triangle": {"kind", "kmax", "format", "out"},
-    "verify": {"kmax", "eq1_max", "roundtrip_max", "brute_bound", "golden_dir", "out"},
+    "verify": {"kmax", "golden_dir", "out"},
     "map": {"direction", "input", "roundtrip"},
     "render": {"input", "format", "labels", "out"},
     "enumerate": {"kind", "n", "k", "i", "perm", "brute_bound", "format", "out"},
@@ -277,8 +277,8 @@ def test_resource_limit_exit_3(capsys):
         main(["triangle", "underlined", "--method", "enumerate", "--kmax", "9"])
     assert exc.value.code == 2
     assert main(["triangle", "duck", "--kmax", str(TRANSFER_KMAX + 1)]) == 3
-    # the roundtrips list every word, refused before any other check runs
-    code, out = run(capsys, "verify", "--kmax", "50", "--roundtrip-max", str(ENUM_KMAX + 1))
+    # past the recurrence's limit, refused before any other check runs
+    code, out = run(capsys, "verify", "--kmax", str(TRANSFER_KMAX + 1))
     assert (code, out) == (3, "")
     for kind in ("duck", "underlined"):
         assert main(["count", kind, "--k", str(TRANSFER_KMAX + 1), "--i", "0"]) == 3
@@ -336,22 +336,17 @@ def test_triangle_duck_method_exit_2(capsys):
 
 def test_verify_small(capsys, tmp_path):
     out_file = tmp_path / "report.json"
-    code = main([
-        "verify", "--kmax", "2", "--eq1-max", "4",
-        "--roundtrip-max", "2", "--out", str(out_file),
-    ])
+    code = main(["verify", "--kmax", "2", "--out", str(out_file)])
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["all_pass"]
 
 
 def test_verify_negative_range_exit_2(capsys):
-    for argv in (["--eq1-max", "-1", "--roundtrip-max", "-3"],
-                 ["--eq1-max", "-1"], ["--roundtrip-max", "-3"], ["--kmax", "-1"]):
-        code, out = run(capsys, "verify", *argv)
-        assert (code, out) == (2, "")
+    code, out = run(capsys, "verify", "--kmax", "-1")
+    assert (code, out) == (2, "")
     # a negative brute-force bound is bad input, not a resource limit
-    for argv in (["verify"], ["count", "vhc", "--perm", "213"],
+    for argv in (["count", "vhc", "--perm", "213"],
                  ["enumerate", "vhc", "--perm", "213"]):
         code, out = run(capsys, *argv, "--brute-bound", "-1")
         assert (code, out) == (2, "")
@@ -359,8 +354,7 @@ def test_verify_negative_range_exit_2(capsys):
 
 def test_verify_to_transfer_kmax(capsys, tmp_path):
     out_file = tmp_path / "report.json"
-    code = main(["verify", "--kmax", str(TRANSFER_KMAX), "--eq1-max", "2",
-                 "--roundtrip-max", "1", "--out", str(out_file)])
+    code = main(["verify", "--kmax", str(TRANSFER_KMAX), "--out", str(out_file)])
     assert code == 0
     assert json.loads(out_file.read_text())["all_pass"]
 
@@ -373,8 +367,7 @@ def test_verify_corrupted_golden_exit_1(capsys, tmp_path):
     corrupted = good_red.replace("5,3", "5,4")
     assert corrupted != good_red
     (tmp_path / "redvhc_triangle.csv").write_text(corrupted)
-    code = main(["verify", "--kmax", "2", "--eq1-max", "2",
-                 "--roundtrip-max", "1", "--golden-dir", str(tmp_path)])
+    code = main(["verify", "--kmax", "2", "--golden-dir", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 1
     assert "golden" in captured.err
@@ -383,6 +376,43 @@ def test_verify_corrupted_golden_exit_1(capsys, tmp_path):
     (tmp_path / "redvhc_triangle.csv").write_text(good_red)
     code, out = run(capsys, "verify", "--kmax", "7", "--golden-dir", str(tmp_path))
     assert (code, out) == (2, "")
+
+
+def _corrupt_golden(monkeypatch, tmp_path):
+    from duckwords.counts import load_golden_triangle
+    (tmp_path / "duck_triangle.csv").write_text(load_golden_triangle("duck").to_csv())
+    red = load_golden_triangle("redvhc").to_csv()
+    (tmp_path / "redvhc_triangle.csv").write_text(red.replace("5,3", "5,4"))
+    return ["--golden-dir", str(tmp_path)]
+
+
+def _patch(target, fake):
+    def setup(monkeypatch, tmp_path):
+        monkeypatch.setattr(target, fake)
+        return []
+    return setup
+
+
+# one check of each kind, each made to fail on its own
+BROKEN_CHECKS = {
+    "duck_k1_tennis_ball": _patch("duckwords.counts.duck_k1_oracle", lambda k: 0),
+    "eq1": _patch("duckwords.hooks.verify_eq1",
+                  lambda n: {**verify_eq1(n), "rhs": -1, "equal": False}),
+    "roundtrips": _patch("duckwords.maps.phi", lambda c: "XYZ"),
+    "golden_triangles": _corrupt_golden,
+}
+
+
+@pytest.mark.parametrize("failed_id", sorted(BROKEN_CHECKS))
+def test_verify_names_each_failed_check(capsys, monkeypatch, tmp_path, failed_id):
+    extra = BROKEN_CHECKS[failed_id](monkeypatch, tmp_path)
+    code = main(["verify", "--kmax", "2", *extra])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1 and report["all_pass"] is False
+    failed = [e for e in report["identities"] if not e["pass"]]
+    assert [e["id"] for e in failed] == [failed_id]
+    assert captured.err.splitlines() == [f"FAILED {failed_id}: {failed[0]['description']}"]
 
 
 def test_usage_error_unknown_flag():
@@ -397,7 +427,7 @@ def test_each_command_has_only_the_options_it_reads():
     options = {name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
                for name, p in sub.choices.items()}
     assert options == OPTIONS
-    assert sum(len(dests) for dests in options.values()) == 32
+    assert sum(len(dests) for dests in options.values()) == 29
 
 
 def test_removed_flags_exit_2(capsys, tmp_path):
@@ -409,6 +439,9 @@ def test_removed_flags_exit_2(capsys, tmp_path):
         ["enumerate", "dyck", "--k", "2", "--method", "simulate"],
         ["triangle", "underlined", "--kmax", "3", "--limit", "7"],
         ["verify", "--kmax", "2", "--limit", "7"],
+        ["verify", "--eq1-max", "6"],
+        ["verify", "--roundtrip-max", "4"],
+        ["verify", "--brute-bound", "10"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

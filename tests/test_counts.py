@@ -135,6 +135,23 @@ def test_f_and_h_polynomials():
         assert all(c > 0 for c in h.coefficients)
 
 
+def test_row_outside_the_triangle_raises():
+    tri = duck_triangle(3)
+    for k in (0, -1, 4, True, "1"):
+        with pytest.raises(InvalidInput):
+            tri.row(k)
+    with pytest.raises(InvalidInput):
+        duck_triangle(0).row(0)
+
+
+def test_polynomials_at_k_zero():
+    # the empty configuration, as `count underlined --k 0 --i 0` prints 1
+    assert f_poly(0) == h_poly(0) == IntPolynomial((1,))
+    for poly in (f_poly, h_poly):
+        with pytest.raises(InvalidInput, match="^k must be nonnegative$"):
+            poly(-1)
+
+
 def test_tennis_ball_weighted():
     assert tennis_ball_weighted(2) == 23
     assert tennis_ball_weighted(3) == 131
@@ -207,6 +224,24 @@ def test_verify_reports_the_simulated_range():
     for kmax, simulated in ((1, 0), (2, 1), (7, 6)):
         entry = {e["id"]: e for e in verify_identities(kmax)["identities"]}["duck_k1_tennis_ball"]
         assert entry["simulated_up_to"] == simulated
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 4, TRANSFER_KMAX])
+def test_verify_report_shape(kmax):
+    report = verify_identities(kmax)
+    entries = report["identities"]
+    assert report["kmax"] == kmax
+    assert len({e["id"] for e in entries}) == len(entries)
+    assert all({"id", "description", "pass"} <= e.keys() for e in entries)
+    assert report["all_pass"] is all(e["pass"] for e in entries) is True
+    by_id = {e["id"]: e for e in entries}
+    roundtrips = by_id["roundtrips"]
+    assert roundtrips["checked_up_to"] == min(kmax, 4)
+    if kmax == 4:
+        assert roundtrips["checked"] == 3016
+    eq1 = by_id["eq1"]["values"]
+    assert [r["n"] for r in eq1] == list(range(7))
+    assert [(r["lhs"], r["rhs"]) for r in eq1] == [(v, v) for v in (1, 1, 1, 2, 5, 14, 44)]
 
 
 def test_identity_values_spot_checks():
