@@ -1,6 +1,9 @@
 """
 Hooks, valid hook configurations, the reduced predicate, and exhaustive
-enumeration over 312-avoiding permutations.
+enumeration over 312-avoiding permutations.  The enumeration backtracks in
+one loop; the NE ends a descent top t may take are its next-greater chain
+ng[t], ng[ng[t]], ..., where ng[p] is the nearest position right of p with a
+larger value, found for every p by one right-to-left stack pass.
 
 A hook on pi is a pair (a, b) of positions with a < b and pi[a-1] < pi[b-1].
 Geometrically it is the L-shaped polyline running from the plot point
@@ -172,73 +175,67 @@ def is_reduced(c: HookConfig) -> bool:
     return len(keep) == c.n
 
 
-def _ne_candidates(pi: Permutation, top: int) -> list[int]:
-    # j is a legal NE endpoint for the descent top at `top` iff pi_j > pi_top
-    # and no interior point exceeds pi_j (condition ii for this hook alone).
-    out = []
-    interior_max = 0
-    for j in range(top + 1, len(pi) + 1):
-        vj = pi[j - 1]
-        if vj > pi[top - 1] and vj > interior_max:
-            out.append(j)
-        interior_max = max(interior_max, vj)
-    return out
-
-
 def enumerate_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     """
     All valid hook configurations on pi, ordered lexicographically by the
     vector of NE positions.
 
-    Backtracks over NE choices per descent top, left to right; per-hook
-    condition (ii) is folded into the candidate lists and condition (iii)
-    is the crossing rule against the hooks already chosen.
+    Backtracks over the descent tops, left to right, in one loop that keeps
+    per depth the NE end tried and the crossing limit.  The NE ends a top
+    may take, condition (ii), are its next-greater chain, cut short by the
+    crossing rule, condition (iii), at the ends of the hooks over it.
     """
-    yield from _walk_vhcs(pi, descent_table(pi), ())
+    tops = [i for i, _ in descent_table(pi)]
+    for ends in _walk_vhcs(pi, tops, ()):
+        yield HookConfig(pi, tuple(zip(tops, ends)))
 
 
-def _walk_vhcs(pi: Permutation, descents: tuple[tuple[int, int], ...],
-               bare: Sequence[int]) -> Iterator[HookConfig]:
-    # The valid configurations on pi, in enumerate_vhcs order, in which every
-    # position of `bare` (ascending) is a NE end.  Only a hook from a top left
-    # of such a point can end there, so a branch is cut once every top left
-    # of it has its hook and it is still bare.
-    tops = [i for i, _ in descents]
-    if len(bare) > len(tops):  # NE ends are distinct
-        return
-    candidates = [_ne_candidates(pi, t) for t in tops]
-    # due[idx]: the points of `bare` with exactly idx tops left of them, which
-    # must be NE ends once the tops in tops[:idx] have their hooks
-    due: list[list[int]] = [[] for _ in range(len(tops) + 1)]
-    idx = 0
+def _walk_vhcs(pi: Permutation, tops: list[int], bare: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    # The NE ends, one per top, of the VHCs on pi in enumerate_vhcs order
+    # that end a hook on every point of `bare`: a branch is cut once every
+    # top left of such a point has its hook and the point is still bare.
+    n, m = len(pi), len(tops)
+    # due[d]: the points of `bare` that must be NE ends once tops[:d] have hooks
+    due: list[list[int]] = [[] for _ in range(m + 1)]
     for p in bare:
-        while idx < len(tops) and tops[idx] < p:
-            idx += 1
-        due[idx].append(p)
-    if due[0]:
+        due[sum(t < p for t in tops)].append(p)
+    if len(bare) > m or due[0]:  # NE ends are distinct; no hook reaches due[0]
         return
-    chosen: list[Hook] = []
-    ends: set[int] = set()
-
-    def walk(idx: int) -> Iterator[HookConfig]:
-        if idx == len(tops):
-            yield HookConfig(pi, tuple(chosen))
+    if not m:
+        yield ()
+        return
+    # ng[p] as in the module docstring; position n + 1, valued n + 1, is none
+    value, ng, stack = (0, *pi, n + 1), [0] * (n + 1), [n + 1]
+    for p in range(n, 0, -1):
+        while value[stack[-1]] < value[p]:
+            stack.pop()
+        ng[p] = stack[-1]
+        stack.append(p)
+    # ends: the NE end tried at each depth; above[b]: the crossing limit of
+    # the depth whose hook ends at b.  By a2 < b1 <= b2 the hook from a2 ends
+    # before the nearest end right of a2 among the hooks chosen: the latest
+    # end or, in turn, the limits above it.
+    ends, above = [], [0] * (n + 1)
+    b, limit = ng[tops[0]], n + 1
+    while True:
+        if b < limit:
+            ends.append(b)
+            d = len(ends)
+            if not due[d] or all(p in ends for p in due[d]):
+                if d == m:
+                    yield tuple(ends)
+                else:
+                    above[b], a, limit = limit, tops[d], b
+                    while limit <= a:
+                        limit = above[limit]
+                    b = ng[a]
+                    continue
+            b = ng[ends.pop()]
+        elif ends:
+            limit = above[ends[-1]]
+            b = ng[ends.pop()]
+        else:
             return
-        a2 = tops[idx]
-        # the crossing rule a2 < b1 <= b2: end before every earlier hook
-        # that passes over a2
-        limit = min([b1 for _, b1 in chosen if b1 > a2], default=len(pi) + 1)
-        for b2 in candidates[idx]:
-            if b2 >= limit:
-                break
-            chosen.append((a2, b2))
-            ends.add(b2)
-            if all(p in ends for p in due[idx + 1]):
-                yield from walk(idx + 1)
-            ends.discard(b2)
-            chosen.pop()
-
-    yield from walk(0)
 
 
 def reduce_config(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
@@ -274,7 +271,7 @@ def hooks_projection(c: HookConfig) -> str:
 
 
 def count_vhcs(pi: Permutation) -> int:
-    return sum(1 for _ in enumerate_vhcs(pi))
+    return sum(1 for _ in _walk_vhcs(pi, [i for i, _ in descent_table(pi)], ()))
 
 
 def reduced_vhcs(pi: Permutation) -> Iterator[HookConfig]:
@@ -283,10 +280,14 @@ def reduced_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     Descent tops are SW ends and descent bottoms are covered anyway, so a
     configuration is reduced iff every other point is a NE end.
     """
-    descents = descent_table(pi)
-    covered = {i for d in descents for i in d}
-    bare = [p for p in range(1, len(pi) + 1) if p not in covered]
-    yield from _walk_vhcs(pi, descents, bare)
+    tops = [i for i, _ in descent_table(pi)]
+    for ends in _walk_vhcs(pi, tops, _bare(len(pi), tops)):
+        yield HookConfig(pi, tuple(zip(tops, ends)))
+
+
+def _bare(n: int, tops: list[int]) -> list[int]:
+    # the points that are neither descent tops nor descent bottoms
+    return [p for p in range(1, n + 1) if p not in tops and p - 1 not in tops]
 
 
 def _av312_ending_in_n(n: int) -> Iterator[Permutation]:
@@ -309,9 +310,10 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
     the hooks, and cuts a branch once such a point can no longer be reached.
     """
     for pi in _av312_ending_in_n(n):
-        if k is not None and sum(1 for i in range(1, n) if pi[i - 1] > pi[i]) != k:
-            continue
-        yield from reduced_vhcs(pi)
+        tops = [i for i in range(1, n) if pi[i - 1] > pi[i]]
+        if k is None or len(tops) == k:
+            for ends in _walk_vhcs(pi, tops, _bare(n, tops)):
+                yield HookConfig(pi, tuple(zip(tops, ends)))
 
 
 def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:
@@ -329,11 +331,18 @@ def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
             = sum over r of |RedVHC(Av_r(312))| * C(n, r)
 
     Both sides are computed exhaustively.  Returns a report dict with the
-    two totals and the per-r reduced counts.
+    two totals and the per-r reduced counts.  One walk over the VHCs on n
+    points gives both the left side and the reduced ones, the r = n term.
     """
     check_brute_bound(n, bound)
-    lhs = sum(count_vhcs(pi) for pi in _av312_ending_in_n(n))
-    reduced_counts = [sum(1 for _ in enumerate_red_vhcs_av312(r)) for r in range(n + 1)]
+    lhs = reduced_n = 0
+    for pi in _av312_ending_in_n(n):
+        tops = [i for i in range(1, n) if pi[i - 1] > pi[i]]
+        bare = _bare(n, tops)
+        for ends in _walk_vhcs(pi, tops, ()):
+            lhs += 1
+            reduced_n += all(p in ends for p in bare)
+    reduced_counts = [sum(1 for _ in enumerate_red_vhcs_av312(r)) for r in range(n)] + [reduced_n]
     rhs = sum(reduced_counts[r] * comb(n, r) for r in range(n + 1))
     return {
         "n": n,

@@ -239,3 +239,56 @@ def test_single_point_has_no_reduced_config():
     with pytest.raises(InvalidInput):
         red_vhc_count_brute(-1, 3)
     assert sum(1 for _ in enumerate_red_vhcs_av312(0)) == 1  # empty config
+
+
+def _ne_candidates(pi, top) -> list[int]:
+    # The reference list of legal NE ends for the descent top at `top`:
+    # j iff pi_j > pi_top and no interior point exceeds pi_j (condition ii
+    # for this hook alone).  enumerate_vhcs walks next-greater chains instead.
+    out = []
+    interior_max = 0
+    for j in range(top + 1, len(pi) + 1):
+        vj = pi[j - 1]
+        if vj > pi[top - 1] and vj > interior_max:
+            out.append(j)
+        interior_max = max(interior_max, vj)
+    return out
+
+
+def test_ne_ends_come_from_the_candidate_lists():
+    for n in range(8):
+        for pi in itertools.permutations(range(1, n + 1)):
+            for c in enumerate_vhcs(pi):
+                assert all(b in _ne_candidates(pi, a) for a, b in c.hooks), c
+
+
+def _lifo_count(pi) -> int:
+    # Scan positions left to right: an ascent top may close the most recent
+    # open hook or skip, then a descent top opens one; count the paths that
+    # end with no hook open.  Only the number of open hooks matters.
+    paths = {0: 1}
+    for p in range(1, len(pi) + 1):
+        if p > 1 and pi[p - 2] < pi[p - 1]:
+            closed = {h - 1: c for h, c in paths.items() if h}
+            paths = {h: paths.get(h, 0) + closed.get(h, 0) for h in paths.keys() | closed}
+        if p < len(pi) and pi[p - 1] > pi[p]:
+            paths = {h + 1: c for h, c in paths.items()}
+    return paths.get(0, 0)
+
+
+def test_count_vhcs_is_the_lifo_matching_count():
+    for n in range(11):
+        for pi in enumerate_av312(n):
+            assert count_vhcs(pi) == _lifo_count(pi), pi
+
+
+def test_count_vhcs_counts_enumerate_vhcs():
+    for n in range(8):
+        for pi in itertools.permutations(range(1, n + 1)):
+            assert count_vhcs(pi) == sum(1 for _ in enumerate_vhcs(pi)), pi
+
+
+def test_eq1_top_term_matches_the_pruned_walk():
+    # verify_eq1 takes its r = n term from the walk over every VHC
+    for n in range(10):
+        assert verify_eq1(n)["reduced_counts"][n] == sum(1 for _ in enumerate_red_vhcs_av312(n))
