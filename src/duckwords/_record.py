@@ -24,12 +24,16 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __init_subclass__(cls):
+        # the slots' own setters, looked up once: _unchecked is on hot paths
+        cls._slot_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     @classmethod
     def _unchecked(cls, *fields):
         """The record with these fields, in slot order, without `__init__`."""
         record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            set_field(record, name, value)
+        for set_slot, value in zip(cls._slot_setters, fields):
+            set_slot(record, value)
         return record
 
     def __repr__(self):

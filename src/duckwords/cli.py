@@ -169,7 +169,7 @@ def _enumerated_items(args):
         k, i = _require(args, "k"), _require(args, "i")
         words.check_duck_range(k, i)
         # every generated word is a 3D-Dyck word, so duck_index's check is skipped
-        return (w for w in words.enumerate_3d_dyck(k) if len(words.non_x_preceded_ys(w)) == i)
+        return (w for w in words.enumerate_3d_dyck(k) if w.count("Y") - w.count("XY") == i)
     if kind == "underlined":
         return (u.to_text()
                 for u in words.enumerate_underlined(_require(args, "k"), _require(args, "i")))

@@ -17,16 +17,16 @@ of its left neighbour (a descent top).  Taking hooks in SW order stacks a
 chain of anchors in order.  The builder fills positions left to right; each Y
 is followed by its descent bottom, the top of a stack of the X heights scanned
 so far (the largest unused X below it).  A y adds no point: its hook starts
-at the point before it.
+at the point before it.  The builder checks its text as it goes and returns
+None on any invalid one, so it is the one check of a word.
 
 Configurations come from `make_config`/`from_json`; a bare HookConfig is
 trusted to be well formed, hooks in SW order included.  An UnderlinedDuckWord
-checks itself when it is built, so phi_prime_inverse trusts its word.
-phi_prime alone decides the domain: c is reduced, valid and 312-avoiding
-exactly when the word read off c is a valid underlined word that builds c
-again, as phi_prime is a bijection onto those words (a theorem of the paper,
-checked on every roundtrip output in the tests).  phi goes through phi_prime,
-and phi_inverse checks its text.
+checks itself when it is built, so phi_prime_inverse trusts its word.  phi and
+phi_prime accept c exactly when the text read off c builds c again: c is then
+reduced, valid and 312-avoiding, as phi_prime is a bijection onto the valid
+words (a theorem of the paper, checked on every roundtrip output in the
+tests).  phi_prime wraps that text unchecked; phi_inverse builds its word.
 
 The paper's expansion of c, the configuration with 3k points and the heights
 inserted into it, is `u = phi_prime(c)` then `(phi_inverse(u.word),
@@ -36,24 +36,31 @@ from __future__ import annotations
 
 from .errors import InvalidInput, ResourceLimit, check_size
 from .hooks import HookConfig
-from .perms import descent_table
-from .words import UnderlinedDuckWord, is_3d_dyck
+from .words import UnderlinedDuckWord
 
 
 def phi(c: HookConfig) -> str:
     """The 3D-Dyck word of a reduced maximal 312-avoiding configuration."""
-    u = phi_prime(c)
-    if u.underlines:
+    text = _checked_text(c)
+    if c.n != 3 * c.k:
         raise InvalidInput(f"expected 3k points, got n={c.n} with k={c.k} hooks")
-    return u.word
+    return text
+
+
+def _checked_text(c: HookConfig) -> str:
+    text = _read(c)
+    if _build(text) != c:
+        raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
+    return text
 
 
 def _read(c: HookConfig) -> str:
     # X: descent bottom, Z: NE end, Y: pure SW end, y: a moved SW end
     perm = c.perm
     labels = [""] * c.n
-    for _, j in descent_table(perm):
-        labels[perm[j - 1] - 1] = "X"
+    for top, bottom in zip(perm, perm[1:]):
+        if top > bottom:
+            labels[bottom - 1] = "X"
     for _, b in c.hooks:
         labels[perm[b - 1] - 1] = "Z"
     sw_slot = [0] * (c.n + 1)  # sw_slot[a]: index of the label holding a's SW end
@@ -76,47 +83,53 @@ def phi_inverse(w: str) -> HookConfig:
     by its descent bottom, whose height is the largest unused X height
     below the top.  Hooks pair Y's with Z's like matched parentheses.
     """
-    if not isinstance(w, str) or not is_3d_dyck(w):
+    c = _build(w) if isinstance(w, str) and "y" not in w else None
+    if c is None:
         raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
-    return _build(w)
+    return c
 
 
-def _build(text: str) -> HookConfig:
-    # text is valid, underlined Y's written y, so no pop meets an empty stack
+def _build(text: str) -> HookConfig | None:
+    # underlined Y's written y; a pop from an empty stack is a prefix with more
+    # Y's than X's or Z's than Y's, a stack left over means unequal counts
     values: list[int] = []
     bottoms: list[int] = []  # unused X heights, largest on top
     open_sw: list[int] = []  # positions of unmatched SW endpoints
     hooks: list[tuple[int, int]] = []
     h = 0  # height in the contracted configuration
-    for ch in text:
-        if ch == "y":
-            open_sw.append(len(values))
-            values.append(bottoms.pop())
-            continue
-        h += 1
-        if ch == "X":
-            bottoms.append(h)
-        elif ch == "Y":
-            values.append(h)
-            open_sw.append(len(values))
-            values.append(bottoms.pop())
-        else:
-            values.append(h)
-            hooks.append((open_sw.pop(), len(values)))
+    try:
+        for ch in text:
+            if ch == "y":
+                open_sw.append(len(values))
+                values.append(bottoms.pop())
+                if values[-1] == h:  # only an X right before the y has height h
+                    return None
+                continue
+            h += 1
+            if ch == "X":
+                bottoms.append(h)
+            elif ch == "Y":
+                values.append(h)
+                open_sw.append(len(values))
+                values.append(bottoms.pop())
+            elif ch == "Z":
+                values.append(h)
+                hooks.append((open_sw.pop(), len(values)))
+            else:
+                return None
+    except IndexError:
+        return None
+    if bottoms or open_sw:
+        return None
     return HookConfig(tuple(values), tuple(sorted(hooks)))
 
 
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:
     """Underlined duck word of any reduced 312-avoiding configuration:
     phi of the expansion, with the inserted heights underlined."""
-    text = _read(c)
-    try:
-        u = UnderlinedDuckWord.parse(text)
-    except InvalidInput:
-        u = None
-    if u is None or _build(text) != c:
-        raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
-    return u
+    text = _checked_text(c)
+    return UnderlinedDuckWord._unchecked(
+        text.upper(), frozenset(p for p, ch in enumerate(text, start=1) if ch == "y"))
 
 
 def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:

@@ -12,11 +12,11 @@ Text formats:
 
 Positions are 1-based everywhere.
 
-The word classes check their fields when they are built, from text through
-`parse` or directly, and raise InvalidInput on an invalid word.  So every
-instance is valid, and `rewrite`, `decode` and the maps trust the words they
-are given.  The generators, `rewrite` and `decode` build their output with
-`_unchecked`, as it is valid by construction.
+The word classes check their fields when built, from text through `parse` or
+directly, and raise InvalidInput on an invalid word, so `rewrite`, `decode`
+and the maps trust their words.  The generators, `rewrite`, `decode` and
+`maps.phi_prime` build their output with `_unchecked`: it is valid by
+construction, or has passed the validating builder in `maps`.
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ def duck_index(w: str) -> int:
     """
     if not isinstance(w, str) or not is_3d_dyck(w):
         raise InvalidInput(f"not a 3D-Dyck word: {w!r}")
-    return len(non_x_preceded_ys(w))
+    return w.count("Y") - w.count("XY")
 
 
 def enumerate_dyck(k: int) -> Iterator[str]:
@@ -122,27 +122,34 @@ def enumerate_dyck(k: int) -> Iterator[str]:
 
 
 def enumerate_3d_dyck(k: int) -> Iterator[str]:
-    """3D-Dyck words of length 3k in lexicographic order (X < Y < Z)."""
+    """3D-Dyck words of length 3k in lexicographic order (X < Y < Z): fill with
+    the smallest letters that fit, back up to the last X or Y that can grow."""
     check_size(k, "k")
-
-    def walk(prefix: list[str], x: int, y: int, z: int) -> Iterator[str]:
-        if len(prefix) == 3 * k:
-            yield "".join(prefix)
+    word: list[str] = []
+    x = y = z = 0  # the X's, Y's and Z's in word
+    while True:
+        word += "X" * (k - x) + "Y" * (k - y) + "Z" * (k - z)
+        x = y = z = k
+        yield "".join(word)
+        while word:
+            ch = word.pop()
+            if ch == "X":
+                x -= 1
+                if y < x:  # an X becomes a Y if one fits, else a Z
+                    word.append("Y")
+                    y += 1
+                    break
+            elif ch == "Y":
+                y -= 1
+            else:
+                z -= 1
+                continue
+            if z < y:
+                word.append("Z")
+                z += 1
+                break
+        else:
             return
-        if x < k:
-            prefix.append("X")
-            yield from walk(prefix, x + 1, y, z)
-            prefix.pop()
-        if y < x:
-            prefix.append("Y")
-            yield from walk(prefix, x, y + 1, z)
-            prefix.pop()
-        if z < y:
-            prefix.append("Z")
-            yield from walk(prefix, x, y, z + 1)
-            prefix.pop()
-
-    yield from walk([], 0, 0, 0)
 
 
 class UnderlinedDuckWord(Record):
@@ -179,10 +186,10 @@ class UnderlinedDuckWord(Record):
         return hash((self.word, self.underlines))
 
     def to_text(self) -> str:
-        return "".join(
-            "y" if (p in self.underlines) else ch
-            for p, ch in enumerate(self.word, start=1)
-        )
+        letters = list(self.word)
+        for p in self.underlines:
+            letters[p - 1] = "y"
+        return "".join(letters)
 
     @classmethod
     def parse(cls, text: str) -> "UnderlinedDuckWord":
@@ -316,7 +323,7 @@ def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
     is underlined, so that is required of the input.
     """
     # the underlines are a subset of those Y's, so equal sizes mean equal sets
-    if len(u.underlines) != len(non_x_preceded_ys(u.word)):
+    if len(u.underlines) != u.word.count("Y") - u.word.count("XY"):
         raise InvalidInput(
             "rewrite needs a duck word in canonical underlined form "
             "(every non-X-preceded Y underlined)"

@@ -13,7 +13,7 @@ from duckwords.hooks import (
     make_config,
     reduce_config,
 )
-from duckwords.maps import phi, phi_inverse, phi_prime, phi_prime_inverse, tennis_lawns
+from duckwords.maps import _build, phi, phi_inverse, phi_prime, phi_prime_inverse, tennis_lawns
 from duckwords.perms import enumerate_av312
 from duckwords.words import UnderlinedDuckWord, enumerate_3d_dyck, enumerate_underlined, psi
 
@@ -92,6 +92,50 @@ def test_maps_decide_the_domain_on_every_hook_subset():
             assert (accepts(phi_prime, c), accepts(phi, c)) == (inside, maximal), c
             seen += 1
     assert seen == 21531
+
+
+def reference_build(text):
+    """The builder before it checked its text: it trusts text to be a valid
+    underlined word, underlined Y's written y."""
+    values, bottoms, open_sw, hooks = [], [], [], []
+    h = 0
+    for ch in text:
+        if ch == "y":
+            open_sw.append(len(values))
+            values.append(bottoms.pop())
+            continue
+        h += 1
+        if ch == "X":
+            bottoms.append(h)
+        elif ch == "Y":
+            values.append(h)
+            open_sw.append(len(values))
+            values.append(bottoms.pop())
+        else:
+            values.append(h)
+            hooks.append((open_sw.pop(), len(values)))
+    return HookConfig(tuple(values), tuple(sorted(hooks)))
+
+
+def test_builder_checks_exactly_what_the_parser_checks():
+    # every string of X, Y, Z and y up to length 8: the builder returns None
+    # exactly when the word's parser raises, and else what it always built
+    seen = 0
+    for n in range(9):
+        for letters in itertools.product("XYZy", repeat=n):
+            text = "".join(letters)
+            built = _build(text)
+            try:
+                UnderlinedDuckWord.parse(text)
+            except InvalidInput:
+                assert built is None, text
+            else:
+                assert built == reference_build(text), text
+            if "y" in text:
+                with pytest.raises(InvalidInput):
+                    phi_inverse(text)
+            seen += 1
+    assert seen == 87381
 
 
 def test_maps_reject_configs_outside_their_domain():

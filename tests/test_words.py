@@ -63,8 +63,42 @@ def test_enumerate_3d_dyck_counts():
     for k in range(6):
         words = list(enumerate_3d_dyck(k))
         assert len(words) == catalan3d(k)
+        assert len(set(words)) == len(words)
         assert all(is_3d_dyck(w) for w in words)
         assert words == sorted(words)
+
+
+def reference_enumerate_3d_dyck(k):
+    """The recursive generator that the one-loop enumerate_3d_dyck replaced:
+    at each position try X, then Y, then Z, wherever it fits."""
+    def walk(prefix, x, y, z):
+        if len(prefix) == 3 * k:
+            yield "".join(prefix)
+            return
+        if x < k:
+            prefix.append("X")
+            yield from walk(prefix, x + 1, y, z)
+            prefix.pop()
+        if y < x:
+            prefix.append("Y")
+            yield from walk(prefix, x, y + 1, z)
+            prefix.pop()
+        if z < y:
+            prefix.append("Z")
+            yield from walk(prefix, x, y, z + 1)
+            prefix.pop()
+
+    yield from walk([], 0, 0, 0)
+
+
+def test_enumerate_3d_dyck_matches_the_recursive_walk():
+    # the same words in the same order for k <= 6, 87,516 of them at k = 6
+    seen = 0
+    for k in range(7):
+        words = list(enumerate_3d_dyck(k))
+        assert words == list(reference_enumerate_3d_dyck(k))
+        seen += len(words)
+    assert seen == 94033
 
 
 def test_duck_census():
