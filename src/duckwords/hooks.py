@@ -95,6 +95,8 @@ class HookConfig(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "HookConfig":
+        if not isinstance(text, str):
+            raise InvalidInput(f"bad hook configuration: {text!r}")
         try:
             obj = json.loads(text)
             perm, hooks = obj["perm"], obj["hooks"]
@@ -274,17 +276,6 @@ def count_vhcs(pi: Permutation) -> int:
     return sum(1 for _ in _walk_vhcs(pi, [i for i, _ in descent_table(pi)], ()))
 
 
-def reduced_vhcs(pi: Permutation) -> Iterator[HookConfig]:
-    """The reduced valid hook configurations on pi, in enumerate_vhcs order.
-
-    Descent tops are SW ends and descent bottoms are covered anyway, so a
-    configuration is reduced iff every other point is a NE end.
-    """
-    tops = [i for i, _ in descent_table(pi)]
-    for ends in _walk_vhcs(pi, tops, _bare(len(pi), tops)):
-        yield HookConfig(pi, tuple(zip(tops, ends)))
-
-
 def _bare(n: int, tops: list[int]) -> list[int]:
     # the points that are neither descent tops nor descent bottoms
     return [p for p in range(1, n + 1) if p not in tops and p - 1 not in tops]
@@ -305,9 +296,10 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
     """Reduced VHCs over all of Av_n(312), optionally restricted to k hooks.
 
     Only permutations that end in n carry a VHC, and a VHC has one hook per
-    descent, so only those with k descents are searched.  On each, the walk
-    of `reduced_vhcs` stops when the points that must be NE ends outnumber
-    the hooks, and cuts a branch once such a point can no longer be reached.
+    descent, so only those with k descents are searched.  A configuration is
+    reduced iff every point that is neither a descent top nor a descent
+    bottom is a NE end, so on each the walk stops when those points
+    outnumber the hooks, and cuts a branch once one can no longer be reached.
     """
     for pi in _av312_ending_in_n(n):
         tops = [i for i in range(1, n) if pi[i - 1] > pi[i]]

@@ -17,8 +17,10 @@ of its left neighbour (a descent top).  Taking hooks in SW order stacks a
 chain of anchors in order.  The builder fills positions left to right; each Y
 is followed by its descent bottom, the top of a stack of the X heights scanned
 so far (the largest unused X below it).  A y adds no point: its hook starts
-at the point before it.  The builder checks its text as it goes and returns
-None on any invalid one, so it is the one check of a word.
+at the point before it.  The builder lists hooks in SW order as it places SW
+ends, each in a slot that its Z fills with the NE end, so it never sorts
+them.  It checks its text as it goes and returns None on any invalid one, so
+it is the one check of a word.
 
 Configurations come from `make_config`/`from_json`; a bare HookConfig is
 trusted to be well formed, hooks in SW order included.  An UnderlinedDuckWord
@@ -55,21 +57,30 @@ def _checked_text(c: HookConfig) -> str:
 
 
 def _read(c: HookConfig) -> str:
-    # X: descent bottom, Z: NE end, Y: pure SW end, y: a moved SW end
+    # X: descent bottom, Z: NE end, Y: pure SW end, y: a moved SW end.  In
+    # SW order a point's hook to the left comes before its own, so one pass
+    # over the hooks meets every Z before the SW end on the same point.
     perm = c.perm
-    labels = [""] * c.n
-    for top, bottom in zip(perm, perm[1:]):
-        if top > bottom:
-            labels[bottom - 1] = "X"
-    for _, b in c.hooks:
-        labels[perm[b - 1] - 1] = "Z"
-    sw_slot = [0] * (c.n + 1)  # sw_slot[a]: index of the label holding a's SW end
-    for a, _ in c.hooks:
+    n = len(perm)
+    labels = [""] * n
+    prev = 0
+    for v in perm:
+        if v < prev:
+            labels[v - 1] = "X"
+        prev = v
+    sw_slot = [0] * (n + 1)  # sw_slot[a]: index of the label holding a's SW end
+    for a, b in c.hooks:
         h = perm[a - 1] - 1
-        if labels[h] == "X":
+        label = labels[h]
+        if label == "X":
             h = sw_slot[a - 1]
-        labels[h] += "y" if labels[h] else "Y"
+            labels[h] += "y"
+        elif label:
+            labels[h] = label + "y"
+        else:
+            labels[h] = "Y"
         sw_slot[a] = h
+        labels[perm[b - 1] - 1] = "Z"
     return "".join(labels)
 
 
@@ -94,42 +105,52 @@ def _build(text: str) -> HookConfig | None:
     # Y's than X's or Z's than Y's, a stack left over means unequal counts
     values: list[int] = []
     bottoms: list[int] = []  # unused X heights, largest on top
-    open_sw: list[int] = []  # positions of unmatched SW endpoints
-    hooks: list[tuple[int, int]] = []
+    open_sw: list[int] = []  # slots in hooks of unmatched SW endpoints
+    hooks: list = []  # per slot a SW position, made its hook at the NE end
     h = 0  # height in the contracted configuration
     try:
         for ch in text:
-            if ch == "y":
-                open_sw.append(len(values))
-                values.append(bottoms.pop())
-                if values[-1] == h:  # only an X right before the y has height h
-                    return None
-                continue
-            h += 1
             if ch == "X":
+                h += 1
                 bottoms.append(h)
             elif ch == "Y":
+                h += 1
                 values.append(h)
-                open_sw.append(len(values))
+                open_sw.append(len(hooks))
+                hooks.append(len(values))
                 values.append(bottoms.pop())
             elif ch == "Z":
+                h += 1
                 values.append(h)
-                hooks.append((open_sw.pop(), len(values)))
+                slot = open_sw.pop()
+                hooks[slot] = (hooks[slot], len(values))
+            elif ch == "y":
+                bottom = bottoms.pop()
+                if bottom == h:  # only an X right before the y has height h
+                    return None
+                open_sw.append(len(hooks))
+                hooks.append(len(values))
+                values.append(bottom)
             else:
                 return None
     except IndexError:
         return None
     if bottoms or open_sw:
         return None
-    return HookConfig(tuple(values), tuple(sorted(hooks)))
+    return HookConfig(tuple(values), tuple(hooks))
 
 
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:
     """Underlined duck word of any reduced 312-avoiding configuration:
     phi of the expansion, with the inserted heights underlined."""
     text = _checked_text(c)
+    underlines = []
+    p = text.find("y")
+    while p >= 0:
+        underlines.append(p + 1)
+        p = text.find("y", p + 1)
     return UnderlinedDuckWord._unchecked(
-        text.upper(), frozenset(p for p, ch in enumerate(text, start=1) if ch == "y"))
+        text.upper() if underlines else text, frozenset(underlines))
 
 
 def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:

@@ -48,6 +48,8 @@ def check_permutation(seq: Sequence[int]) -> Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     """Parse space-separated one-line notation, or a digit string for n <= 9."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"bad permutation text: {text!r}")
     text = text.strip()
     try:
         entries = [int(tok) for tok in (text.split() if " " in text else text)]

@@ -83,10 +83,13 @@ def is_3d_dyck(w: str) -> bool:
 
 def non_x_preceded_ys(w: str) -> tuple[int, ...]:
     """Positions of Y's whose immediately preceding letter is not an X."""
-    return tuple(
-        p for p in range(1, len(w) + 1)
-        if w[p - 1] == "Y" and (p == 1 or w[p - 2] != "X")
-    )
+    out = []
+    p = w.find("Y")
+    while p >= 0:
+        if p == 0 or w[p - 1] != "X":
+            out.append(p + 1)
+        p = w.find("Y", p + 1)
+    return tuple(out)
 
 
 def duck_index(w: str) -> int:
@@ -186,6 +189,8 @@ class UnderlinedDuckWord(Record):
         return hash((self.word, self.underlines))
 
     def to_text(self) -> str:
+        if not self.underlines:
+            return self.word
         letters = list(self.word)
         for p in self.underlines:
             letters[p - 1] = "y"
@@ -193,7 +198,7 @@ class UnderlinedDuckWord(Record):
 
     @classmethod
     def parse(cls, text: str) -> "UnderlinedDuckWord":
-        if not set(text) <= set("XYZy"):
+        if not isinstance(text, str) or not set(text) <= set("XYZy"):
             raise InvalidInput(f"not an underlined duck word: {text!r}")
         return cls(text.upper(), (p for p, ch in enumerate(text, start=1) if ch == "y"))
 
@@ -286,6 +291,8 @@ class RewrittenDuckWord(Record):
 
     @classmethod
     def parse(cls, text: str) -> "RewrittenDuckWord":
+        if not isinstance(text, str):
+            raise InvalidInput(f"bad rewritten word: {text!r}")
         letters, circles, flags = [], [], []
         depth = 0
         expect_close = 0

@@ -31,3 +31,16 @@ def accepts(f, c) -> bool:
     except InvalidInput:
         return False
     return True
+
+
+def dyck3_letters(k, choose):
+    """A 3D-Dyck word of length 3k, one letter at a time, each picked by
+    `choose` from the letters legal there."""
+    x = y = z = 0
+    out = []
+    while z < k:
+        legal = [ch for ch, ok in (("X", x < k), ("Y", y < x), ("Z", z < y)) if ok]
+        ch = choose(legal)
+        x, y, z = x + (ch == "X"), y + (ch == "Y"), z + (ch == "Z")
+        out.append(ch)
+    return "".join(out)

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from conftest import accepts, in_domain
+from conftest import accepts, dyck3_letters, in_domain
 
 from duckwords.counts import catalan
 from duckwords.errors import InvalidInput
@@ -15,7 +16,13 @@ from duckwords.hooks import (
 )
 from duckwords.maps import _build, phi, phi_inverse, phi_prime, phi_prime_inverse, tennis_lawns
 from duckwords.perms import enumerate_av312
-from duckwords.words import UnderlinedDuckWord, enumerate_3d_dyck, enumerate_underlined, psi
+from duckwords.words import (
+    UnderlinedDuckWord,
+    enumerate_3d_dyck,
+    enumerate_underlined,
+    non_x_preceded_ys,
+    psi,
+)
 
 FIG5_CONFIG = make_config(
     (3, 2, 4, 1, 7, 8, 6, 9, 10, 11, 5, 12),
@@ -136,6 +143,20 @@ def test_builder_checks_exactly_what_the_parser_checks():
                     phi_inverse(text)
             seen += 1
     assert seen == 87381
+
+
+def test_builder_lists_deeply_nested_hooks_as_the_reference_sorts_them():
+    # seeded words at large k, where hooks nest deeply, with and without a
+    # random half of their eligible Y's underlined
+    rng = random.Random(16)
+    for k in [32] * 10 + [200] * 5 + [400] * 5:
+        w = dyck3_letters(k, rng.choice)
+        letters = list(w)
+        for p in non_x_preceded_ys(w):
+            if rng.random() < 0.5:
+                letters[p - 1] = "y"
+        for text in (w, "".join(letters)):
+            assert _build(text) == reference_build(text), text
 
 
 def test_maps_reject_configs_outside_their_domain():

@@ -9,7 +9,7 @@ import json
 import random
 
 import pytest
-from conftest import in_domain
+from conftest import dyck3_letters, in_domain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,19 +28,6 @@ from duckwords.words import (
 
 KMAX = 30
 ROUNDTRIPS = settings(max_examples=60, deadline=None)
-
-
-def dyck3_letters(k, choose):
-    """A 3D-Dyck word of length 3k, one letter at a time, each picked by
-    `choose` from the letters legal there."""
-    x = y = z = 0
-    out = []
-    while z < k:
-        legal = [ch for ch, ok in (("X", x < k), ("Y", y < x), ("Z", z < y)) if ok]
-        ch = choose(legal)
-        x, y, z = x + (ch == "X"), y + (ch == "Y"), z + (ch == "Z")
-        out.append(ch)
-    return "".join(out)
 
 
 @st.composite

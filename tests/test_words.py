@@ -2,6 +2,8 @@ import pytest
 
 from duckwords.counts import catalan, catalan3d, duck_triangle
 from duckwords.errors import InvalidInput
+from duckwords.hooks import HookConfig
+from duckwords.perms import parse_permutation
 from duckwords.words import (
     RewrittenDuckWord,
     UnderlinedDuckWord,
@@ -41,6 +43,14 @@ def test_duck_index():
     assert non_x_preceded_ys("XXYYZZ") == (4,)
     assert duck_index("XXYYXXZYZZYZ") == 3
     assert non_x_preceded_ys("XXYYXXZYZZYZ") == (4, 8, 11)
+
+
+def test_non_x_preceded_ys_matches_its_definition():
+    # a Y at a position p >= 2 whose letter before it is not an X
+    for k in range(6):
+        for w in enumerate_3d_dyck(k):
+            assert non_x_preceded_ys(w) == tuple(
+                p for p in range(2, len(w) + 1) if w[p - 1] == "Y" and w[p - 2] != "X"), w
 
 
 def test_yz_projection():
@@ -121,6 +131,23 @@ def test_underlined_text_roundtrip():
     for bad in ("xYZ", "XYz", "XXYyZz", "XY Z"):
         with pytest.raises(InvalidInput):
             UnderlinedDuckWord.parse(bad)
+
+
+TEXT_READERS = {
+    "UnderlinedDuckWord.parse": UnderlinedDuckWord.parse,
+    "RewrittenDuckWord.parse": RewrittenDuckWord.parse,
+    "parse_permutation": parse_permutation,
+    "HookConfig.from_json": HookConfig.from_json,
+    "duck_index": duck_index,
+    "underline_all": underline_all,
+}
+
+
+@pytest.mark.parametrize("value", [None, 123, ["X", "Y", "Z"], b'{"perm":[1],"hooks":[]}'], ids=repr)
+@pytest.mark.parametrize("reader", TEXT_READERS.values(), ids=TEXT_READERS.keys())
+def test_text_readers_reject_non_strings(reader, value):
+    with pytest.raises(InvalidInput):
+        reader(value)
 
 
 def test_validate_underlined():
