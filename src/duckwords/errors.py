@@ -23,7 +23,8 @@ def check_size(value, name: str) -> None:
 
 
 def check_brute_bound(n: int, bound: int) -> None:
-    """InvalidInput for a negative bound; ResourceLimit if n exceeds it."""
+    """InvalidInput unless n and the bound are sizes; ResourceLimit if n exceeds it."""
+    check_size(n, "n")
     check_size(bound, "brute-force bound")
     if n > bound:
         raise ResourceLimit(f"n={n} exceeds brute-force bound {bound}")

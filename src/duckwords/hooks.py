@@ -5,6 +5,15 @@ one loop; the NE ends a descent top t may take are its next-greater chain
 ng[t], ng[ng[t]], ..., where ng[p] is the nearest position right of p with a
 larger value, found for every p by one right-to-left stack pass.
 
+Every VHC on Av_n(312) sits on a pi = sigma + (n,) with sigma in
+Av_{n-1}(312): on any other pi, n is a descent top that no hook can leave.
+The brute-force counts list those pi by a walk over sigma's stack moves that
+records, as it goes, the descent tops and the bare points (neither descent
+tops nor bottoms), and cuts a branch at top k + 1 when k hooks are asked
+for, so no other permutation is built.  It is a walk of its own, not
+enumerate_av312's: that bookkeeping makes a walk over all of Av_n(312)
+almost three times as slow.
+
 A hook on pi is a pair (a, b) of positions with a < b and pi[a-1] < pi[b-1].
 Geometrically it is the L-shaped polyline running from the plot point
 (a, pi_a) straight up to (a, pi_b) and then right to (b, pi_b).  A valid
@@ -36,6 +45,7 @@ which the maps do not call.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from math import comb
 from typing import Iterator, Sequence
 
@@ -45,7 +55,6 @@ from .perms import (
     Permutation,
     check_permutation,
     descent_table,
-    enumerate_av312,
     normalize,
 )
 
@@ -187,22 +196,24 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     may take, condition (ii), are its next-greater chain, cut short by the
     crossing rule, condition (iii), at the ends of the hooks over it.
     """
+    pi = check_permutation(pi)
     tops = [i for i, _ in descent_table(pi)]
     for ends in _walk_vhcs(pi, tops, ()):
         yield HookConfig(pi, tuple(zip(tops, ends)))
 
 
-def _walk_vhcs(pi: Permutation, tops: list[int], bare: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _walk_vhcs(pi: Permutation, tops: Sequence[int], bare: Sequence[int]) -> Iterator[tuple[int, ...]]:
     # The NE ends, one per top, of the VHCs on pi in enumerate_vhcs order
     # that end a hook on every point of `bare`: a branch is cut once every
     # top left of such a point has its hook and the point is still bare.
     n, m = len(pi), len(tops)
+    # NE ends are distinct, and no hook reaches a point left of every top
+    if len(bare) > m or bare and bare[0] < tops[0]:
+        return
     # due[d]: the points of `bare` that must be NE ends once tops[:d] have hooks
     due: list[list[int]] = [[] for _ in range(m + 1)]
     for p in bare:
-        due[sum(t < p for t in tops)].append(p)
-    if len(bare) > m or due[0]:  # NE ends are distinct; no hook reaches due[0]
-        return
+        due[bisect_left(tops, p)].append(p)
     if not m:
         yield ()
         return
@@ -276,36 +287,78 @@ def count_vhcs(pi: Permutation) -> int:
     return sum(1 for _ in _walk_vhcs(pi, [i for i, _ in descent_table(pi)], ()))
 
 
-def _bare(n: int, tops: list[int]) -> list[int]:
-    # the points that are neither descent tops nor descent bottoms
-    return [p for p in range(1, n + 1) if p not in tops and p - 1 not in tops]
-
-
-def _av312_ending_in_n(n: int) -> Iterator[Permutation]:
-    # The permutations of Av_n(312) that end in n, in lexicographic order:
-    # sigma + (n,) avoids 312 iff sigma does.  On any other pi in Av_n(312),
-    # n is a descent top that no hook can leave, so pi has no VHC.
+def _av312_ending_in_n(n: int, k: int | None = None) -> Iterator[tuple[Permutation, tuple, tuple]]:
+    # (pi, tops, bare) as in the module docstring, in lexicographic order,
+    # with k descents if k is given.  The moves are tried as enumerate_av312
+    # tries them; a pop right after a pop makes the previous output a top.
     if n == 0:
-        yield ()
+        if not k:
+            yield (), (), ()
         return
-    for sigma in enumerate_av312(n - 1):
-        yield sigma + (n,)
+    m, cap = n - 1, n if k is None else k
+    out, stack, pushed, tops, bare, fed = [], [], [], [], [], 0
+    while True:
+        while len(out) < m:
+            if stack and (pushed[-1] or len(tops) < cap):
+                p = len(out) + 1
+                if pushed[-1]:
+                    bare.append(p)
+                else:
+                    tops.append(p - 1)
+                    if bare and bare[-1] == p - 1:
+                        bare.pop()
+                out.append(stack.pop())
+                pushed.append(False)
+            elif fed < m:
+                fed += 1
+                stack.append(fed)
+                pushed.append(True)
+            else:  # only pops are left, and the next would pass k tops
+                break
+        else:
+            if k is None or len(tops) == k:
+                yield (*out, n), tuple(tops), (*bare, n)
+        # undo moves back to the last pop that a push can replace
+        while pushed:
+            if pushed.pop():
+                stack.pop()
+                fed -= 1
+                continue
+            p = len(out)
+            stack.append(out.pop())
+            if pushed[-1]:
+                bare.pop()
+            else:
+                tops.pop()
+                if not tops or tops[-1] != p - 2:
+                    bare.append(p - 1)
+            if fed < m:
+                fed += 1
+                stack.append(fed)
+                pushed.append(True)
+                break
+        else:
+            return
 
 
 def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfig]:
     """Reduced VHCs over all of Av_n(312), optionally restricted to k hooks.
 
     Only permutations that end in n carry a VHC, and a VHC has one hook per
-    descent, so only those with k descents are searched.  A configuration is
-    reduced iff every point that is neither a descent top nor a descent
-    bottom is a NE end, so on each the walk stops when those points
-    outnumber the hooks, and cuts a branch once one can no longer be reached.
+    descent, so with k no permutation with another number of descents is
+    built: the stack walk that lists Av_{n-1}(312) here cuts a branch at
+    descent k + 1.  It is not enumerate_av312, whose walk that bookkeeping
+    would slow (see the module docstring).  A configuration is reduced iff
+    every point that is neither a descent top nor a descent bottom is a NE
+    end, so on each the walk stops when those points outnumber the hooks,
+    and cuts a branch once one can no longer be reached.
     """
-    for pi in _av312_ending_in_n(n):
-        tops = [i for i in range(1, n) if pi[i - 1] > pi[i]]
-        if k is None or len(tops) == k:
-            for ends in _walk_vhcs(pi, tops, _bare(n, tops)):
-                yield HookConfig(pi, tuple(zip(tops, ends)))
+    check_size(n, "n")
+    if k is not None:
+        check_size(k, "k")
+    for pi, tops, bare in _av312_ending_in_n(n, k):
+        for ends in _walk_vhcs(pi, tops, bare):
+            yield HookConfig(pi, tuple(zip(tops, ends)))
 
 
 def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:
@@ -328,9 +381,7 @@ def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
     """
     check_brute_bound(n, bound)
     lhs = reduced_n = 0
-    for pi in _av312_ending_in_n(n):
-        tops = [i for i in range(1, n) if pi[i - 1] > pi[i]]
-        bare = _bare(n, tops)
+    for pi, tops, bare in _av312_ending_in_n(n):
         for ends in _walk_vhcs(pi, tops, ()):
             lhs += 1
             reduced_n += all(p in ends for p in bare)

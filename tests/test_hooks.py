@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from conftest import accepts, in_domain
@@ -6,6 +7,7 @@ from conftest import accepts, in_domain
 from duckwords.errors import InvalidInput
 from duckwords.hooks import (
     HookConfig,
+    _av312_ending_in_n,
     check_valid,
     count_vhcs,
     enumerate_red_vhcs_av312,
@@ -236,9 +238,38 @@ def test_verify_eq1_lhs_counts_every_permutation():
 
 def test_single_point_has_no_reduced_config():
     assert red_vhc_count_brute(0, 1) == 0
-    with pytest.raises(InvalidInput):
-        red_vhc_count_brute(-1, 3)
+    for call in (lambda: red_vhc_count_brute(-1, 3), lambda: red_vhc_count_brute(0, True),
+                 lambda: list(enumerate_red_vhcs_av312(True)),
+                 lambda: list(enumerate_red_vhcs_av312(3, -1)),
+                 lambda: list(enumerate_red_vhcs_av312(3, 1.0))):
+        with pytest.raises(InvalidInput):
+            call()
+    with pytest.raises(InvalidInput, match="got 2.5"):
+        red_vhc_count_brute(1, 2.5)
     assert sum(1 for _ in enumerate_red_vhcs_av312(0)) == 1  # empty config
+
+
+def test_enumerate_vhcs_lists_a_tuple_permutation():
+    configs = list(enumerate_vhcs([2, 1, 3]))
+    assert configs == [make_config((2, 1, 3), [(1, 3)])]
+    hash(configs[0])
+
+
+def test_descent_walk_lists_av312_by_descents():
+    # the walk that records tops against enumerate_av312 and the definitions;
+    # with k descents there are C(n-1, k) C(n-1, k+1) / (n-1), for n >= 2
+    for n in range(11):
+        pis = [sigma + (n,) for sigma in enumerate_av312(n - 1)] if n else [()]
+        listed = []
+        for pi in pis:
+            tops = tuple(i for i in range(1, n) if pi[i - 1] > pi[i])
+            bare = tuple(p for p in range(1, n + 1) if p not in tops and p - 1 not in tops)
+            listed.append((pi, tops, bare))
+        for k in [None, *range(n + 1)]:
+            walked = list(_av312_ending_in_n(n, k))
+            assert walked == [t for t in listed if k is None or len(t[1]) == k], (n, k)
+            if n >= 2 and k is not None:
+                assert len(walked) == comb(n - 1, k) * comb(n - 1, k + 1) // (n - 1)
 
 
 def _ne_candidates(pi, top) -> list[int]:

@@ -127,6 +127,11 @@ WRONG_TYPES = {
     "catalan(3.0)": lambda: duckwords.catalan(3.0),
     "duck_k1_oracle(2.5)": lambda: duckwords.duck_k1_oracle(2.5),
     "verify_eq1(2.5)": lambda: duckwords.verify_eq1(2.5),
+    "verify_eq1(True)": lambda: duckwords.verify_eq1(True),
+    "enumerate_vhcs((5, 1, 9))": lambda: list(duckwords.enumerate_vhcs((5, 1, 9))),
+    "enumerate_vhcs((2.5, 1, 3))": lambda: list(duckwords.enumerate_vhcs((2.5, 1, 3))),
+    "enumerate_vhcs((2, 2, 1))": lambda: list(duckwords.enumerate_vhcs((2, 2, 1))),
+    "enumerate_vhcs(None)": lambda: list(duckwords.enumerate_vhcs(None)),
 }
 
 
