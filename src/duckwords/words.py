@@ -167,10 +167,12 @@ class UnderlinedDuckWord(Record):
         if not isinstance(word, str) or not is_3d_dyck(word):
             raise InvalidInput(f"not a 3D-Dyck word: {word!r}")
         try:
-            underlines = frozenset(underlines)
+            marks = tuple(underlines)
         except TypeError as exc:
             raise InvalidInput(f"underlines are not a set of positions: {underlines!r}") from exc
-        for p in underlines:
+        # check every given position before the frozenset merges 4.0 or True
+        # into an equal int
+        for p in marks:
             # position 1 holds an X, so word[p - 2] is the letter before p
             if (type(p) is not int or not 0 < p <= len(word)
                     or word[p - 1] != "Y" or word[p - 2] == "X"):
@@ -178,7 +180,7 @@ class UnderlinedDuckWord(Record):
                     f"cannot underline position {p!r} of {word!r}: "
                     "not a Y that follows a letter other than X")
         set_field(self, "word", word)
-        set_field(self, "underlines", underlines)
+        set_field(self, "underlines", frozenset(marks))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -159,6 +159,7 @@ def test_validate_underlined():
         ("XXYYZZ", {3}),        # an X-preceded Y, not eligible
         ("XYZ", [2]),
         ("XXYYZZ", {4.0}), ("XXYYZZ", {True}),
+        ("XXYYZZ", [4, 4.0]), ("XXYYZZ", (4, 4.0)),  # 4.0 == 4 in a set
         ("XXYYZZ", {0}), ("XXYYZZ", {7}),
         ("XXYYZZ", {-2}),       # word[-3] is a Y after a Y
         ("XYZZ", ()), ("XyZ", ()), (["X", "Y", "Z"], ()), (None, ()),
