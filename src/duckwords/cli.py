@@ -278,14 +278,7 @@ def cmd_count(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="duckwords",
-        description="Hook configurations on 312-avoiding permutations and duck words",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_triangle(sub) -> None:
     p = sub.add_parser("triangle", help="emit a count triangle")
     p.add_argument("kind", choices=["redvhc", "duck", "underlined"])
     p.add_argument("--kmax", type=int, required=True)
@@ -293,12 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--golden-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
+
+def _add_map(sub) -> None:
     p = sub.add_parser("map", help="apply a bijection to one input")
     p.add_argument("direction",
                    choices=["phi", "phi-inv", "phi-prime", "phi-prime-inv", "psi"])
@@ -306,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roundtrip", action="store_true")
     p.set_defaults(func=cmd_map)
 
+
+def _add_render(sub) -> None:
     p = sub.add_parser("render", help="draw a hook configuration")
     p.add_argument("input", help="hook configuration as JSON")
     p.add_argument("--format", choices=["svg", "tikz"], default="svg")
@@ -313,9 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_render)
 
-    listed = ["av312", "vhc", "dyck", "3d-dyck", "duck", "underlined", "rewritten"]
+
+_LISTED = ["av312", "vhc", "dyck", "3d-dyck", "duck", "underlined", "rewritten"]
+
+
+def _add_enumerate(sub) -> None:
     p = sub.add_parser("enumerate")
-    p.add_argument("kind", choices=listed)
+    p.add_argument("kind", choices=_LISTED)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--i", type=int)
@@ -325,9 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)
 
+
+def _add_count(sub) -> None:
     p = sub.add_parser("count")
-    p.add_argument("kind", choices=listed + ["redvhc", "tennis-lawns", "tennis-weighted",
-                                             "catalan", "catalan3d"])
+    p.add_argument("kind", choices=_LISTED + ["redvhc", "tennis-lawns", "tennis-weighted",
+                                              "catalan", "catalan3d"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--i", type=int)
@@ -336,12 +341,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
     p.set_defaults(func=cmd_count)
 
+
+# each command's subparser, in the order help lists them
+_SUBPARSERS = {"triangle": _add_triangle, "verify": _add_verify, "map": _add_map,
+               "render": _add_render, "enumerate": _add_enumerate, "count": _add_count}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When argv[0] names a command, only that
+    command's subparser is added, as no other is read; otherwise (help,
+    --version, an unknown command) all of them are."""
+    parser = argparse.ArgumentParser(
+        prog="duckwords",
+        description="Hook configurations on 312-avoiding permutations and duck words",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _SUBPARSERS:
+        _SUBPARSERS[argv[0]](sub)
+    else:
+        for add in _SUBPARSERS.values():
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimit as exc:

@@ -10,7 +10,11 @@ Av_{n-1}(312): on any other pi, n is a descent top that no hook can leave.
 The brute-force counts list those pi by a walk over sigma's stack moves that
 records, as it goes, the descent tops and the bare points (neither descent
 tops nor bottoms), and cuts a branch at top k + 1 when k hooks are asked
-for, so no other permutation is built.  It is a walk of its own, not
+for, so no other permutation is built.  A reduced VHC ends a hook on every
+bare point, so when only reduced ones are counted the walk also cuts a
+branch once a push fixes the bare points so far and they cannot all be NE
+ends: the first lies left of every top, or they and n (always bare)
+outnumber the k hooks.  It is a walk of its own, not
 enumerate_av312's: that bookkeeping makes a walk over all of Av_n(312)
 almost three times as slow.
 
@@ -287,10 +291,14 @@ def count_vhcs(pi: Permutation) -> int:
     return sum(1 for _ in _walk_vhcs(pi, [i for i, _ in descent_table(pi)], ()))
 
 
-def _av312_ending_in_n(n: int, k: int | None = None) -> Iterator[tuple[Permutation, tuple, tuple]]:
+def _av312_ending_in_n(n: int, k: int | None = None,
+                       reduced: bool = False) -> Iterator[tuple[Permutation, tuple, tuple]]:
     # (pi, tops, bare) as in the module docstring, in lexicographic order,
     # with k descents if k is given.  The moves are tried as enumerate_av312
     # tries them; a pop right after a pop makes the previous output a top.
+    # A push fixes the bare points so far; with `reduced` it is not taken
+    # once _walk_vhcs would reject them: with n they outnumber k, or the
+    # first has no top left of it.
     if n == 0:
         if not k:
             yield (), (), ()
@@ -309,7 +317,8 @@ def _av312_ending_in_n(n: int, k: int | None = None) -> Iterator[tuple[Permutati
                         bare.pop()
                 out.append(stack.pop())
                 pushed.append(False)
-            elif fed < m:
+            elif fed < m and not (reduced and (
+                    len(bare) >= cap or bare and not (tops and tops[0] < bare[0]))):
                 fed += 1
                 stack.append(fed)
                 pushed.append(True)
@@ -332,7 +341,8 @@ def _av312_ending_in_n(n: int, k: int | None = None) -> Iterator[tuple[Permutati
                 tops.pop()
                 if not tops or tops[-1] != p - 2:
                     bare.append(p - 1)
-            if fed < m:
+            if fed < m and not (reduced and (
+                    len(bare) >= cap or bare and not (tops and tops[0] < bare[0]))):
                 fed += 1
                 stack.append(fed)
                 pushed.append(True)
@@ -350,13 +360,15 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
     descent k + 1.  It is not enumerate_av312, whose walk that bookkeeping
     would slow (see the module docstring).  A configuration is reduced iff
     every point that is neither a descent top nor a descent bottom is a NE
-    end, so on each the walk stops when those points outnumber the hooks,
-    and cuts a branch once one can no longer be reached.
+    end.  The stack walk cuts a branch once such a point is fixed left of
+    every top or, with k, once those points and n outnumber k; on each
+    permutation left, the hook search stops when those points outnumber the
+    hooks, and cuts a branch once one can no longer be reached.
     """
     check_size(n, "n")
     if k is not None:
         check_size(k, "k")
-    for pi, tops, bare in _av312_ending_in_n(n, k):
+    for pi, tops, bare in _av312_ending_in_n(n, k, reduced=True):
         for ends in _walk_vhcs(pi, tops, bare):
             yield HookConfig(pi, tuple(zip(tops, ends)))
 

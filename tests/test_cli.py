@@ -430,6 +430,44 @@ def test_each_command_has_only_the_options_it_reads():
     assert sum(len(dests) for dests in options.values()) == 29
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_command_builds_only_its_own_parser():
+    full = _subparsers(cli.build_parser())
+    for name in OPTIONS:
+        alone = _subparsers(cli.build_parser([name, "--help"]))
+        assert list(alone) == [name]
+        assert alone[name].prog == full[name].prog == f"duckwords {name}"
+        assert ([(a.dest, a.option_strings, a.default, a.choices, a.required)
+                 for a in alone[name]._actions]
+                == [(a.dest, a.option_strings, a.default, a.choices, a.required)
+                    for a in full[name]._actions])
+
+
+def test_a_lone_command_parser_reads_and_reports_as_the_full_one(capsys, monkeypatch):
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cases = [["--help"], ["--version"], ["bogus"], ["bogus", "--help"], ["tri"],
+             ["triangle", "--kmax", "3"], ["triangle", "bogus", "--kmax", "3"],
+             ["map", "phi"], ["map", "nope", "1"], ["render"],
+             ["enumerate", "nope"], ["count", "nope"], ["verify", "--kmax", "x"],
+             ["count", "catalan", "--k", "3"]]
+    cases += [[name, "--help"] for name in OPTIONS]
+    alone = [outcome(argv) for argv in cases]
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    for argv, got in zip(cases, alone):
+        assert got == outcome(argv), argv
+
+
 def test_removed_flags_exit_2(capsys, tmp_path):
     for argv in (
         ["count", "catalan", "--k", "3", "--out", str(tmp_path / "f.txt")],

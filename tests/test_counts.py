@@ -92,6 +92,13 @@ def test_underlined_triangle_methods_agree():
     assert transform.row(3) == (42, 51, 14)
 
 
+def test_brute_force_matches_the_triangle_at_twelve_points():
+    # the two cells with 3k - i = 12, past the default brute-force bound
+    transform = underlined_triangle(5)
+    for k, i, count in ((4, 0, 462), (5, 3, 4743)):
+        assert red_vhc_count_brute(k, 3 * k - i, bound=12) == transform.row(k)[i] == count
+
+
 def test_enum_limit_raises():
     with pytest.raises(ResourceLimit):
         duck_triangle(TRANSFER_KMAX + 1)

@@ -8,6 +8,7 @@ from duckwords.errors import InvalidInput
 from duckwords.hooks import (
     HookConfig,
     _av312_ending_in_n,
+    _walk_vhcs,
     check_valid,
     count_vhcs,
     enumerate_red_vhcs_av312,
@@ -270,6 +271,23 @@ def test_descent_walk_lists_av312_by_descents():
             assert walked == [t for t in listed if k is None or len(t[1]) == k], (n, k)
             if n >= 2 and k is not None:
                 assert len(walked) == comb(n - 1, k) * comb(n - 1, k + 1) // (n - 1)
+
+
+def test_reduced_descent_walk_drops_only_permutations_without_reduced_vhcs():
+    # the walk that cuts doomed prefixes lists, in order, a part of the plain
+    # walk, and every permutation it leaves out carries no reduced VHC
+    for n in range(11):
+        for k in [None, *range(n + 1)]:
+            walked = list(_av312_ending_in_n(n, k))
+            cut = list(_av312_ending_in_n(n, k, reduced=True))
+            rest = iter(walked)
+            assert all(t in rest for t in cut), (n, k)
+            kept = set(cut)
+            for pi, tops, bare in walked:
+                if (pi, tops, bare) not in kept:
+                    assert next(_walk_vhcs(pi, tops, bare), None) is None, (pi, k)
+    assert len(list(_av312_ending_in_n(8, 3))) == 175
+    assert len(list(_av312_ending_in_n(8, 3, reduced=True))) == 50
 
 
 def _ne_candidates(pi, top) -> list[int]:
