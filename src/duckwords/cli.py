@@ -238,20 +238,22 @@ def cmd_count(args) -> int:
         _check_catalan_k(n, "n")
         value = catalan(n)
     elif kind in ("duck", "rewritten", "underlined"):
-        from .counts import duck_triangle, underlined_triangle
+        from .counts import _check_transfer_k, duck_triangle, underlined_triangle
         from .words import check_duck_range
 
         k, i = _require(args, "k"), _require(args, "i")
         check_duck_range(k, i)
+        _check_transfer_k(k, "k")
         # rewrite maps the (k, i)-duck words one to one onto the rewritten ones
         triangle = underlined_triangle if kind == "underlined" else duck_triangle
         value = triangle(k).row(k)[i] if k else 1
     elif kind == "redvhc":
-        from .counts import underlined_triangle
+        from .counts import _check_transfer_k, underlined_triangle
 
         k, n = _require(args, "k"), _require(args, "n")
         check_size(k, "k")
         check_size(n, "n")
+        _check_transfer_k(k, "k")
         # a reduced configuration with k hooks has 3k - i points, 0 <= i < k
         triangle = underlined_triangle(k)
         value = triangle.row(k)[3 * k - n] if 2 * k < n <= 3 * k else int(k == n == 0)

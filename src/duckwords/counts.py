@@ -48,6 +48,12 @@ def _check_catalan_k(value: int, name: str) -> None:
         raise ResourceLimit(f"{name}={value} exceeds limit {CATALAN_KMAX}")
 
 
+def _check_transfer_k(value: int, name: str) -> None:
+    check_size(value, name)
+    if value > TRANSFER_KMAX:
+        raise ResourceLimit(f"{name}={value} exceeds recurrence limit {TRANSFER_KMAX}")
+
+
 def catalan(k: int) -> int:
     _check_catalan_k(k, "k")
     return comb(2 * k, k) // (k + 1)
@@ -126,9 +132,7 @@ def duck_triangle(kmax: int) -> CountTriangle:
     field, so the subtraction never borrows.  Row k is read at (k, k, k),
     whose prefixes are the words of length 3k.  Two layers of x are kept.
     """
-    check_size(kmax, "kmax")
-    if kmax > TRANSFER_KMAX:
-        raise ResourceLimit(f"kmax={kmax} exceeds recurrence limit {TRANSFER_KMAX}")
+    _check_transfer_k(kmax, "kmax")
     w = catalan3d(kmax).bit_length() + 1
     mask = (1 << w) - 1
     rows, prev = [], []

@@ -7,16 +7,17 @@ larger value, found for every p by one right-to-left stack pass.
 
 Every VHC on Av_n(312) sits on a pi = sigma + (n,) with sigma in
 Av_{n-1}(312): on any other pi, n is a descent top that no hook can leave.
-The brute-force counts list those pi by a walk over sigma's stack moves that
-records, as it goes, the descent tops and the bare points (neither descent
-tops nor bottoms), and cuts a branch at top k + 1 when k hooks are asked
-for, so no other permutation is built.  A reduced VHC ends a hook on every
-bare point, so when only reduced ones are counted the walk also cuts a
-branch once a push fixes the bare points so far and they cannot all be NE
-ends: the first lies left of every top, or they and n (always bare)
-outnumber the k hooks.  It is a walk of its own, not
-enumerate_av312's: that bookkeeping makes a walk over all of Av_n(312)
-almost three times as slow.
+The brute-force counts list those pi by a recursion over the moves of one
+stack fed 1..n-1, a pop tried before a push, that passes down the descent
+tops and the bare points (neither descent tops nor bottoms) as tuples, so a
+return has nothing to restore.  It cuts a branch at top k + 1 when k hooks
+are asked for, so no other permutation is built.  A reduced VHC ends a hook
+on every bare point, so when only reduced ones are counted the walk also
+cuts a branch once a push fixes the bare points so far and they cannot all
+be NE ends: the first lies left of every top, or they and n (always bare)
+outnumber the k hooks.  It is a walk of its own, not enumerate_av312's:
+that bookkeeping makes a walk over all of Av_n(312) almost three times as
+slow.
 
 A hook on pi is a pair (a, b) of positions with a < b and pi[a-1] < pi[b-1].
 Geometrically it is the L-shaped polyline running from the plot point
@@ -54,7 +55,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from ._record import Record, set_field
-from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, check_brute_bound, check_size
+from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit, check_brute_bound, check_size
 from .perms import (
     Permutation,
     check_permutation,
@@ -292,63 +293,41 @@ def count_vhcs(pi: Permutation) -> int:
 
 
 def _av312_ending_in_n(n: int, k: int | None = None,
-                       reduced: bool = False) -> Iterator[tuple[Permutation, tuple, tuple]]:
+                       reduced: bool = False) -> list[tuple[Permutation, tuple, tuple]]:
     # (pi, tops, bare) as in the module docstring, in lexicographic order,
-    # with k descents if k is given.  The moves are tried as enumerate_av312
-    # tries them; a pop right after a pop makes the previous output a top.
-    # A push fixes the bare points so far; with `reduced` it is not taken
-    # once _walk_vhcs would reject them: with n they outnumber k, or the
-    # first has no top left of it.
+    # with k descents if k is given; step makes one move per frame and undoes
+    # it in the shared out and stack.  With `reduced` a push, which fixes the
+    # bare points so far, is not taken once _walk_vhcs would reject them:
+    # with n they outnumber k, or the first has no top left of it.
     if n == 0:
-        if not k:
-            yield (), (), ()
-        return
+        return [((), (), ())] if not k else []
     m, cap = n - 1, n if k is None else k
-    out, stack, pushed, tops, bare, fed = [], [], [], [], [], 0
-    while True:
-        while len(out) < m:
-            if stack and (pushed[-1] or len(tops) < cap):
-                p = len(out) + 1
-                if pushed[-1]:
-                    bare.append(p)
-                else:
-                    tops.append(p - 1)
-                    if bare and bare[-1] == p - 1:
-                        bare.pop()
-                out.append(stack.pop())
-                pushed.append(False)
-            elif fed < m and not (reduced and (
-                    len(bare) >= cap or bare and not (tops and tops[0] < bare[0]))):
-                fed += 1
-                stack.append(fed)
-                pushed.append(True)
-            else:  # only pops are left, and the next would pass k tops
-                break
-        else:
+    out, stack, found = [], [], []
+
+    def step(fed, after_push, tops, bare):
+        p = len(out)  # the position of the latest output
+        if p == m:
             if k is None or len(tops) == k:
-                yield (*out, n), tuple(tops), (*bare, n)
-        # undo moves back to the last pop that a push can replace
-        while pushed:
-            if pushed.pop():
-                stack.pop()
-                fed -= 1
-                continue
-            p = len(out)
-            stack.append(out.pop())
-            if pushed[-1]:
-                bare.pop()
-            else:
-                tops.pop()
-                if not tops or tops[-1] != p - 2:
-                    bare.append(p - 1)
-            if fed < m and not (reduced and (
-                    len(bare) >= cap or bare and not (tops and tops[0] < bare[0]))):
-                fed += 1
-                stack.append(fed)
-                pushed.append(True)
-                break
-        else:
+                found.append(((*out, n), tops, bare + (n,)))
             return
+        if stack and (after_push or len(tops) < cap):
+            out.append(stack.pop())
+            if after_push:
+                step(fed, False, tops, bare + (p + 1,))
+            else:  # p becomes a top, so it is no longer bare
+                step(fed, False, tops + (p,), bare[:-1] if bare and bare[-1] == p else bare)
+            stack.append(out.pop())
+        if fed < m and not (reduced and (
+                len(bare) >= cap or bare and not (tops and tops[0] < bare[0]))):
+            stack.append(fed + 1)
+            step(fed + 1, True, tops, bare)
+            stack.pop()
+
+    try:
+        step(0, False, (), ())
+    except RecursionError as exc:  # 2(n - 1) moves deep on an uncut walk
+        raise ResourceLimit(f"n={n} is too deep for the stack walk") from exc
+    return found
 
 
 def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfig]:
@@ -356,14 +335,15 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
 
     Only permutations that end in n carry a VHC, and a VHC has one hook per
     descent, so with k no permutation with another number of descents is
-    built: the stack walk that lists Av_{n-1}(312) here cuts a branch at
-    descent k + 1.  It is not enumerate_av312, whose walk that bookkeeping
-    would slow (see the module docstring).  A configuration is reduced iff
-    every point that is neither a descent top nor a descent bottom is a NE
-    end.  The stack walk cuts a branch once such a point is fixed left of
-    every top or, with k, once those points and n outnumber k; on each
-    permutation left, the hook search stops when those points outnumber the
-    hooks, and cuts a branch once one can no longer be reached.
+    built: the recursion over stack moves that lists Av_{n-1}(312) here cuts
+    a branch at descent k + 1.  It is not enumerate_av312, whose walk that
+    bookkeeping would slow (see the module docstring).  A configuration is
+    reduced iff every point that is neither a descent top nor a descent
+    bottom is a NE end.  The recursion cuts a branch once such a point is
+    fixed left of every top or, with k, once those points and n outnumber k;
+    on each permutation left, the hook search stops when those points
+    outnumber the hooks, and cuts a branch once one can no longer be reached.
+    A recursion deeper than Python allows raises ResourceLimit.
     """
     check_size(n, "n")
     if k is not None:

@@ -19,14 +19,15 @@ def _point_labels(c: HookConfig) -> dict[int, str]:
     """Role letter for each position: X for descent bottoms, Y for SW
     endpoints, Z for NE endpoints (concatenated for multi-role points)."""
     bottoms = {j for _, j in descent_table(c.perm)}
+    sw, ne = c.sw_positions(), c.ne_positions()
     labels: dict[int, str] = {}
     for p in range(1, c.n + 1):
         tag = ""
         if p in bottoms:
             tag += "X"
-        if p in c.sw_positions():
+        if p in sw:
             tag += "Y"
-        if p in c.ne_positions():
+        if p in ne:
             tag += "Z"
         labels[p] = tag
     return labels

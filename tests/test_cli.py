@@ -284,6 +284,16 @@ def test_resource_limit_exit_3(capsys):
         assert main(["count", kind, "--k", str(TRANSFER_KMAX + 1), "--i", "0"]) == 3
         code, out = run(capsys, "count", kind, "--k", str(TRANSFER_KMAX), "--i", "1")
         assert code == 0 and out.strip().isdigit()
+    # each command names its own flag: count --k, triangle and verify --kmax
+    k = TRANSFER_KMAX + 1
+    cases = [("count", kind, "--k", k, "--i", 0) for kind in ("duck", "rewritten", "underlined")]
+    cases += [("count", "redvhc", "--k", k, "--n", 3 * k), ("triangle", "duck", "--kmax", k),
+              ("verify", "--kmax", k)]
+    for argv in cases:
+        assert main([str(a) for a in argv]) == 3
+        name = "kmax" if "--kmax" in argv else "k"
+        err = capsys.readouterr().err
+        assert err == f"error: {name}={k} exceeds recurrence limit {TRANSFER_KMAX}\n", argv
 
 
 def test_count_reads_what_enumerate_lists(capsys):

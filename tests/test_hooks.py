@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from conftest import accepts, in_domain
 
-from duckwords.errors import InvalidInput
+from duckwords.errors import InvalidInput, ResourceLimit
 from duckwords.hooks import (
     HookConfig,
     _av312_ending_in_n,
@@ -288,6 +288,21 @@ def test_reduced_descent_walk_drops_only_permutations_without_reduced_vhcs():
                     assert next(_walk_vhcs(pi, tops, bare), None) is None, (pi, k)
     assert len(list(_av312_ending_in_n(8, 3))) == 175
     assert len(list(_av312_ending_in_n(8, 3, reduced=True))) == 50
+
+
+def test_descent_walk_counts_past_ten_points():
+    # Narayana's 13,860 at (12, 4) and Catalan's 4,862 at n = 10, then the cut walk
+    for args, plain, cut in (((12, 4), 13860, 1500), ((10,), 4862, 1430)):
+        assert len(_av312_ending_in_n(*args)) == plain, args
+        assert len(_av312_ending_in_n(*args, reduced=True)) == cut, args
+
+
+def test_deep_brute_force_walk_is_a_resource_limit():
+    # the walk recurses once per stack move: a cut walk stays shallow, and an
+    # uncut one deeper than Python allows is refused, not left to crash
+    assert red_vhc_count_brute(1, 600, bound=600) == 0
+    with pytest.raises(ResourceLimit, match="n=2000"):
+        red_vhc_count_brute(2, 2000, bound=2000)
 
 
 def _ne_candidates(pi, top) -> list[int]:
