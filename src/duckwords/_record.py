@@ -6,8 +6,9 @@ subclass writes its own `__init__` (filling the slots through `set_field`),
 `__eq__` and `__hash__` over its fields by name, since a loop over the field
 names is slower on these hot paths.  The base makes the fields read-only and
 gives the repr, `Name(field=value, ...)`, and copying and pickling by the
-constructor.  A subclass whose `__init__` checks its fields offers `_unchecked`
-to the producers whose output is valid by construction.
+constructor.  A subclass whose `__init__` checks its fields may write a
+`_unchecked` classmethod in the same way, without the checks, for the
+producers whose output is valid by construction.
 """
 
 # A record's own __setattr__ refuses every assignment, so its __init__
@@ -23,18 +24,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __init_subclass__(cls):
-        # the slots' own setters, looked up once: _unchecked is on hot paths
-        cls._slot_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    @classmethod
-    def _unchecked(cls, *fields):
-        """The record with these fields, in slot order, without `__init__`."""
-        record = object.__new__(cls)
-        for set_slot, value in zip(cls._slot_setters, fields):
-            set_slot(record, value)
-        return record
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

@@ -14,9 +14,11 @@ Positions are 1-based everywhere.
 
 The word classes check their fields when built, from text through `parse` or
 directly, and raise InvalidInput on an invalid word, so `rewrite`, `decode`
-and the maps trust their words.  The generators, `rewrite`, `decode` and
-`maps.phi_prime` build their output with `_unchecked`: it is valid by
-construction, or has passed the validating builder in `maps`.
+and the maps trust their words.  Each class also has a `_unchecked`
+classmethod that fills the same fields without the checks.  The generators,
+`rewrite`, `decode` and `maps.phi_prime` build their output with it: that
+output is valid by construction, or has passed the validating builder in
+`maps`.
 """
 from __future__ import annotations
 
@@ -58,11 +60,13 @@ def psi(lawn: frozenset[int] | set[int], m: int) -> str:
         raise InvalidInput(f"a lawn is a set of balls, not {lawn!r}") from exc
     if not all(type(ball) is int and 1 <= ball <= 2 * m for ball in lawn):
         raise InvalidInput(f"balls must be ints in 1..{2 * m}: {set(lawn)}")
-    body = "".join("U" if ball in lawn else "D" for ball in range(1, 2 * m + 1))
-    word = "U" + body + "D"
-    if not is_dyck(word):
-        raise InvalidInput(f"unreachable lawn configuration for m={m}: {sorted(lawn)}")
-    return word
+    # a Dyck word of 2m + 2 letters has m + 1 U's, so a reachable lawn has m
+    # balls: checked first, as building the word takes time linear in m
+    if len(lawn) == m:
+        word = "U" + "".join("U" if ball in lawn else "D" for ball in range(1, 2 * m + 1)) + "D"
+        if is_dyck(word):
+            return word
+    raise InvalidInput(f"unreachable lawn configuration for m={m}: {sorted(lawn)}")
 
 
 def is_3d_dyck(w: str) -> bool:
@@ -182,6 +186,14 @@ class UnderlinedDuckWord(Record):
         set_field(self, "word", word)
         set_field(self, "underlines", frozenset(marks))
 
+    @classmethod
+    def _unchecked(cls, word: str, underlines: frozenset[int]) -> "UnderlinedDuckWord":
+        """The word with these underlines, without the constructor's checks."""
+        u = object.__new__(cls)
+        set_field(u, "word", word)
+        set_field(u, "underlines", underlines)
+        return u
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -230,12 +242,54 @@ def check_duck_range(k: int, i: int) -> None:
 
 
 def enumerate_underlined(k: int, i: int) -> Iterator[UnderlinedDuckWord]:
-    """All (k, i)-underlined duck words, ordered by word then underline set."""
+    """All (k, i)-underlined duck words, ordered by word then underline set.
+
+    >>> [u.to_text() for u in enumerate_underlined(2, 1)]
+    ['XXYyZZ', 'XXYZyZ', 'XYXZyZ']
+
+    It runs enumerate_3d_dyck's walk itself, so that it can keep the Y's not
+    preceded by an X as letters come and go instead of rescanning each word.
+    """
     check_duck_range(k, i)
-    for w in enumerate_3d_dyck(k):
-        eligible = non_x_preceded_ys(w)
-        for combo in itertools.combinations(eligible, i):
-            yield UnderlinedDuckWord._unchecked(w, frozenset(combo))
+    unchecked = UnderlinedDuckWord._unchecked
+    word: list[str] = []
+    ys: list[int] = []  # the positions of the Y's in word not preceded by an X
+    x = y = z = 0
+    while True:
+        n, fill_x = len(word), k - x
+        # the filled Y's, but for a first one right after a filled X; with no
+        # X filled, word ends in the Y or Z that the last back-up put there
+        ys += range(n + fill_x + 1 + (fill_x > 0), n + fill_x + k - y + 1)
+        word += "X" * fill_x + "Y" * (k - y) + "Z" * (k - z)
+        x = y = z = k
+        if len(ys) >= i:
+            w = "".join(word)
+            for combo in itertools.combinations(ys, i):
+                yield unchecked(w, frozenset(combo))
+        while word:
+            ch = word.pop()
+            if ch == "X":
+                x -= 1
+                if y < x:
+                    # the first X can never become a Y, so word is not empty
+                    if word[-1] != "X":
+                        ys.append(len(word) + 1)
+                    word.append("Y")
+                    y += 1
+                    break
+            elif ch == "Y":
+                y -= 1
+                if ys and ys[-1] > len(word):
+                    ys.pop()
+            else:
+                z -= 1
+                continue
+            if z < y:
+                word.append("Z")
+                z += 1
+                break
+        else:
+            return
 
 
 class RewrittenDuckWord(Record):
@@ -275,6 +329,16 @@ class RewrittenDuckWord(Record):
         set_field(self, "letters", letters)
         set_field(self, "circle_counts", circle_counts)
         set_field(self, "underline_flags", underline_flags)
+
+    @classmethod
+    def _unchecked(cls, letters: str, circle_counts: tuple[int, ...],
+                   underline_flags: tuple[bool, ...]) -> "RewrittenDuckWord":
+        """The word with these fields, without the constructor's checks."""
+        r = object.__new__(cls)
+        set_field(r, "letters", letters)
+        set_field(r, "circle_counts", circle_counts)
+        set_field(r, "underline_flags", underline_flags)
+        return r
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -322,6 +386,10 @@ class RewrittenDuckWord(Record):
         return sum(self.underline_flags)
 
 
+# rewrite's letters: drop the X's, map Y -> U and Z -> D
+_TO_DYCK = str.maketrans("YZ", "UD", "X")
+
+
 def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
     """
     Encode a duck word in its canonical underlined form: delete the X in
@@ -337,19 +405,24 @@ def rewrite(u: UnderlinedDuckWord) -> RewrittenDuckWord:
             "rewrite needs a duck word in canonical underlined form "
             "(every non-X-preceded Y underlined)"
         )
-    letters, circles, flags = [], [], []
-    pending = 0
-    for p, ch in enumerate(u.word, start=1):
+    # in canonical form, then, a Y is underlined exactly when the letter
+    # before it is not an X, and the underlines need not be looked up
+    circles, flags = [], []
+    pending = 0  # the X's since the last Y or Z
+    for ch in u.word:
         if ch == "X":
-            # an X before a Y goes with it: in canonical form that Y is
-            # exactly a non-underlined one
-            pending += u.word[p:p + 1] != "Y"
-            continue
-        letters.append("U" if ch == "Y" else "D")
-        circles.append(pending)
-        flags.append(p in u.underlines)
-        pending = 0
-    return RewrittenDuckWord._unchecked("".join(letters), tuple(circles), tuple(flags))
+            pending += 1
+        elif ch == "Y" and pending:
+            # the X right before a non-underlined Y goes with it
+            circles.append(pending - 1)
+            flags.append(False)
+            pending = 0
+        else:
+            circles.append(pending)
+            flags.append(ch == "Y")
+            pending = 0
+    return RewrittenDuckWord._unchecked(
+        u.word.translate(_TO_DYCK), tuple(circles), tuple(flags))
 
 
 def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
@@ -360,13 +433,18 @@ def decode(r: RewrittenDuckWord) -> UnderlinedDuckWord:
     """
     out: list[str] = []
     underlines = []
+    length = 0  # of the word so far
     for ch, c, under in zip(r.letters, r.circle_counts, r.underline_flags):
-        out.extend("X" * c)
-        if ch == "U" and not under:
-            out.append("X")
-        out.append("Y" if ch == "U" else "Z")
-        if under:
-            underlines.append(len(out))
+        if under:  # a circle-free U
+            length += 1
+            out.append("Y")
+            underlines.append(length)
+        elif ch == "U":
+            length += c + 2
+            out.append("X" * (c + 1) + "Y")
+        else:
+            length += c + 1
+            out.append("X" * c + "Z")
     return UnderlinedDuckWord._unchecked("".join(out), frozenset(underlines))
 
 

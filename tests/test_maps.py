@@ -298,3 +298,11 @@ def test_psi_rejects_balls_out_of_range():
                     ({1, 2.0}, 2)):
         with pytest.raises(InvalidInput):
             psi(lawn, m)
+
+
+def test_psi_rejects_a_lawn_of_the_wrong_size_before_building_the_word():
+    # a reachable lawn after m rounds holds m balls; the word would have
+    # 2 * 10**12 + 2 letters
+    for lawn, m in ((frozenset({1}), 10**12), (frozenset(), 10**12), ({1, 2}, 1)):
+        with pytest.raises(InvalidInput, match=f"unreachable lawn configuration for m={m}"):
+            psi(lawn, m)

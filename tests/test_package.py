@@ -37,6 +37,14 @@ RECORDS = [
      "RewrittenDuckWord(letters='UD', circle_counts=(0, 0), underline_flags=(False, False))"),
     (lambda: CountTriangle(tuple([(1,), (2, 3)])), "CountTriangle(rows=((1,), (2, 3)))"),
     (lambda: IntPolynomial(tuple([1, 2])), "IntPolynomial(coefficients=(1, 2))"),
+    # built by the per-class _unchecked, without the constructor
+    (lambda: next(duckwords.enumerate_underlined(3, 2)),
+     "UnderlinedDuckWord(word='XXXYYYZZZ', underlines=frozenset({5, 6}))"),
+    (lambda: duckwords.rewrite(duckwords.underline_all("XXXYYYZZZ")),
+     "RewrittenDuckWord(letters='UUUDDD', circle_counts=(2, 0, 0, 0, 0, 0), "
+     "underline_flags=(False, True, True, False, False, False))"),
+    (lambda: duckwords.decode(RewrittenDuckWord.parse("(U)u(D)uDD")),
+     "UnderlinedDuckWord(word='XXYYXZYZZ', underlines=frozenset({4, 7}))"),
 ]
 
 # the public names of the package

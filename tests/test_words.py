@@ -1,4 +1,8 @@
+import itertools
+import random
+
 import pytest
+from conftest import dyck3_letters
 
 from duckwords.counts import catalan, catalan3d, duck_triangle
 from duckwords.errors import InvalidInput
@@ -109,6 +113,23 @@ def test_enumerate_3d_dyck_matches_the_recursive_walk():
         assert words == list(reference_enumerate_3d_dyck(k))
         seen += len(words)
     assert seen == 94033
+
+
+def test_enumerate_underlined_matches_its_definition():
+    # every i-set of a word's Y's not preceded by an X, word by word in
+    # lexicographic order, for k <= 6 and every i
+    seen = 0
+    for k in range(7):
+        words = list(enumerate_3d_dyck(k))
+        for i in range(max(k, 1)):
+            listed = list(enumerate_underlined(k, i))
+            assert listed == [UnderlinedDuckWord(w, c) for w in words
+                              for c in itertools.combinations(non_x_preceded_ys(w), i)]
+            seen += len(listed)
+    # a (k, j)-duck word carries 2**j underline sets, over all i together
+    rows = [duck_triangle(6).row(k) for k in range(1, 7)]
+    assert seen == 1 + sum(n * 2**j for row in rows for j, n in enumerate(row))
+    assert seen == 958259
 
 
 def test_duck_census():
@@ -237,6 +258,55 @@ def test_rewritten_text_roundtrip():
     for w in enumerate_3d_dyck(3):
         r = rewrite(underline_all(w))
         assert RewrittenDuckWord.parse(r.to_text()) == r
+
+
+def reference_rewrite(u):
+    """The letter-by-letter rewrite that the one-pass codec replaced: an X goes
+    with a Y right after it, and the underlines are looked up in the set."""
+    letters, circles, flags = [], [], []
+    pending = 0
+    for p, ch in enumerate(u.word, start=1):
+        if ch == "X":
+            pending += u.word[p:p + 1] != "Y"
+            continue
+        letters.append("U" if ch == "Y" else "D")
+        circles.append(pending)
+        flags.append(p in u.underlines)
+        pending = 0
+    return "".join(letters), tuple(circles), tuple(flags)
+
+
+def reference_decode(r):
+    """The letter-by-letter decode that the one-pass codec replaced."""
+    out, underlines = [], []
+    for ch, c, under in zip(r.letters, r.circle_counts, r.underline_flags):
+        out.extend("X" * c)
+        if ch == "U" and not under:
+            out.append("X")
+        out.append("Y" if ch == "U" else "Z")
+        if under:
+            underlines.append(len(out))
+    return "".join(out), frozenset(underlines)
+
+
+def test_codec_matches_the_letter_by_letter_reference():
+    # every canonical word with k <= 6, and seeded words at k = 32 and 200;
+    # the fields are compared with their types: tuples of ints and of bools,
+    # and a frozenset of ints
+    rng = random.Random(21)
+    words = [w for k in range(7) for w in enumerate_3d_dyck(k)]
+    words += [dyck3_letters(k, rng.choice) for k in (32, 200) for _ in range(50)]
+    for w in words:
+        u = underline_all(w)
+        r = rewrite(u)
+        assert (r.letters, r.circle_counts, r.underline_flags) == reference_rewrite(u), w
+        assert type(r.letters) is str and type(r.circle_counts) is type(r.underline_flags) is tuple
+        assert all(type(c) is int for c in r.circle_counts)
+        assert all(type(f) is bool for f in r.underline_flags)
+        d = decode(r)
+        assert (d.word, d.underlines) == reference_decode(r) == (w, u.underlines)
+        assert type(d.word) is str and type(d.underlines) is frozenset
+        assert all(type(p) is int for p in d.underlines)
 
 
 def test_rewrite_decode_roundtrip_exhaustive():
