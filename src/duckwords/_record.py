@@ -2,14 +2,17 @@
 The base of the package's value classes.
 
 A record is an immutable value whose fields are its `__slots__`.  Each
-subclass writes its own `__init__` (filling the slots through `set_field`),
-`__eq__` and `__hash__` over its fields by name, since a loop over the field
-names is slower on these hot paths.  The base makes the fields read-only and
-gives the repr, `Name(field=value, ...)`, and copying and pickling by the
-constructor.  A subclass whose `__init__` checks its fields may write a
-`_unchecked` classmethod in the same way, without the checks, for the
-producers whose output is valid by construction.
+subclass writes its own `__init__`, filling the slots through `set_field`,
+and a subclass whose `__init__` checks its fields may write a `_unchecked`
+classmethod in the same way, without the checks, for the producers whose
+output is valid by construction.  Everything else comes from the slots, here
+and nowhere else: the fields are read-only; two records are equal when they
+are of the same class and their fields are equal, and equal records hash
+equal; the repr is `Name(field=value, ...)`; copying and pickling go through
+the constructor.  So a field added to `__slots__` takes part in equality,
+which the maps use as their domain check, without further code.
 """
+import operator
 
 # A record's own __setattr__ refuses every assignment, so its __init__
 # fills the slots through object's.
@@ -18,6 +21,18 @@ set_field = object.__setattr__
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields in slot order: a tuple, or the value itself for one slot
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

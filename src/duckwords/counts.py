@@ -74,20 +74,18 @@ class CountTriangle(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        try:
+            rows = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise InvalidInput(f"count triangle rows are not sequences: {rows!r}") from exc
         for k, row in enumerate(rows, start=1):
             if len(row) != k:
                 raise InvalidInput(f"row {k} has {len(row)} entries, expected {k}")
+            if not all(type(e) is int for e in row):
+                raise InvalidInput(f"row {k} has an entry that is not an int: {row!r}")
             if any(e < 0 for e in row):
                 raise InvalidInput(f"row {k} has a negative entry")
         set_field(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
 
     @property
     def kmax(self) -> int:
@@ -108,6 +106,8 @@ class CountTriangle(Record):
 
     @classmethod
     def from_csv(cls, text: str) -> "CountTriangle":
+        if not isinstance(text, str):
+            raise InvalidInput(f"malformed count triangle: {text!r}")
         try:
             rows = [tuple(int(tok) for tok in line)
                     for line in csv.reader(io.StringIO(text)) if line]
@@ -177,14 +177,6 @@ class IntPolynomial(Record):
 
     def __init__(self, coefficients: tuple[int, ...]):
         set_field(self, "coefficients", coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -271,7 +263,9 @@ def duck_k1_oracle(k: int) -> int:
 def load_golden_triangle(name: str, directory: str | Path | None = None) -> CountTriangle:
     """Load a shipped golden triangle ("redvhc" or "duck"); an explicit
     directory overrides the packaged data files.  A triangle with no rows
-    would check nothing, so it raises InvalidInput."""
+    would check nothing, so it raises InvalidInput, as does any other name."""
+    if name not in ("duck", "redvhc"):
+        raise InvalidInput(f"no golden triangle {name!r}: the names are 'duck' and 'redvhc'")
     filename = f"{name}_triangle.csv"
     if directory is not None:
         path = Path(directory) / filename

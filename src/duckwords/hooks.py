@@ -73,14 +73,6 @@ class HookConfig(Record):
         set_field(self, "perm", perm)
         set_field(self, "hooks", hooks)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.perm == other.perm and self.hooks == other.hooks
-
-    def __hash__(self):
-        return hash((self.perm, self.hooks))
-
     @property
     def n(self) -> int:
         return len(self.perm)
@@ -144,15 +136,6 @@ class ValidityReport(Record):
         set_field(self, "valid", valid)
         set_field(self, "failed_condition", failed_condition)
         set_field(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.valid == other.valid and self.failed_condition == other.failed_condition
-                and self.witness == other.witness)
-
-    def __hash__(self):
-        return hash((self.valid, self.failed_condition, self.witness))
 
 
 def check_valid(c: HookConfig) -> ValidityReport:
@@ -278,14 +261,15 @@ def hooks_projection(c: HookConfig) -> str:
     Dyck word of a reduced maximal configuration: scanning positions left to
     right, each SW endpoint contributes U and each NE endpoint contributes D;
     matched U/D pairs are the hooks.  InvalidInput outside phi's domain.
+
+    The endpoints of such a configuration are left-to-right maxima, so their
+    order by position is their order by height, the order in which phi's
+    word lists them as Y's and Z's; dropping its X's gives the projection.
     """
     from .maps import phi
+    from .words import _TO_DYCK
 
-    phi(c)
-    sw, ne = c.sw_positions(), c.ne_positions()
-    return "".join(
-        "U" if p in sw else "D" for p in range(1, c.n + 1) if p in sw or p in ne
-    )
+    return phi(c).translate(_TO_DYCK)
 
 
 def count_vhcs(pi: Permutation) -> int:

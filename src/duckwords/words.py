@@ -194,14 +194,6 @@ class UnderlinedDuckWord(Record):
         set_field(u, "underlines", underlines)
         return u
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word and self.underlines == other.underlines
-
-    def __hash__(self):
-        return hash((self.word, self.underlines))
-
     def to_text(self) -> str:
         if not self.underlines:
             return self.word
@@ -340,15 +332,6 @@ class RewrittenDuckWord(Record):
         set_field(r, "underline_flags", underline_flags)
         return r
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.letters == other.letters and self.circle_counts == other.circle_counts
-                and self.underline_flags == other.underline_flags)
-
-    def __hash__(self):
-        return hash((self.letters, self.circle_counts, self.underline_flags))
-
     def to_text(self) -> str:
         out = []
         for ch, c, under in zip(self.letters, self.circle_counts, self.underline_flags):
@@ -461,15 +444,14 @@ def enumerate_rewritten(k: int, i: int) -> Iterator[RewrittenDuckWord]:
         for under_combo in itertools.combinations(u_positions, i):
             under_set = set(under_combo)
             flags = tuple(p in under_set for p in range(2 * k))
-            slots = [p for p in range(2 * k) if p not in under_set]
-            for counts in _circle_placements(len(word), slots, flags, i):
+            for counts in _circle_placements(flags, i):
                 yield RewrittenDuckWord._unchecked(word, counts, flags)
 
 
-def _circle_placements(length, slots, flags, total) -> Iterator[tuple[int, ...]]:
-    # Distribute `total` circles over `slots` (circles may stack) such that
-    # every prefix has #circles >= #underlines.
-    slot_set = set(slots)
+def _circle_placements(flags, total) -> Iterator[tuple[int, ...]]:
+    # Distribute `total` circles over the letters not flagged as underlined
+    # (circles may stack) such that every prefix has #circles >= #underlines.
+    length = len(flags)
 
     def walk(pos: int, placed: int, counts: list[int], under_seen: int):
         if pos == length:
@@ -477,7 +459,7 @@ def _circle_placements(length, slots, flags, total) -> Iterator[tuple[int, ...]]
                 yield tuple(counts)
             return
         under_here = under_seen + int(flags[pos])
-        if pos in slot_set:
+        if not flags[pos]:
             for c in range(total - placed + 1):
                 if placed + c < under_here:
                     continue

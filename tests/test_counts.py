@@ -215,6 +215,14 @@ def test_golden_dir_override(tmp_path):
             load_golden_triangle("duck", tmp_path)
 
 
+def test_golden_triangle_names_are_checked_before_any_path(tmp_path):
+    (tmp_path / "x_triangle.csv").write_text("1\n")
+    for name in ("nope", None, "../x", "duck/../redvhc", 1):
+        for directory in (None, tmp_path / "sub"):
+            with pytest.raises(InvalidInput, match="'duck' and 'redvhc'"):
+                load_golden_triangle(name, directory)
+
+
 def test_verify_identities_small():
     report = verify_identities(4)
     assert report["all_pass"]

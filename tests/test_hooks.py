@@ -202,7 +202,14 @@ def test_hooks_projection_unique_k1():
 
 def test_hooks_projection_surjects_onto_dyck(maximal_configs):
     for k in range(1, 5):
-        images = {hooks_projection(c) for c in maximal_configs[k - 1]}
+        images = set()
+        for c in maximal_configs[k - 1]:
+            # the projection by its definition: U at a SW end, D at a NE end,
+            # scanning positions left to right
+            sw, ne = c.sw_positions(), c.ne_positions()
+            scan = "".join("U" if p in sw else "D" for p in range(1, c.n + 1) if p in sw or p in ne)
+            assert hooks_projection(c) == scan
+            images.add(scan)
         assert images == set(enumerate_dyck(k))
 
 

@@ -98,6 +98,12 @@ def test_count_triangle_checks_its_rows():
         CountTriangle(((1,), (2,)))
     with pytest.raises(InvalidInput, match="negative"):
         CountTriangle(((1,), (2, -3)))
+    with pytest.raises(InvalidInput, match="row 2 has an entry that is not an int"):
+        CountTriangle(((1,), (2, "a")))
+    with pytest.raises(InvalidInput, match="not sequences"):
+        CountTriangle(((1,), 2))
+    # the rows are stored as tuples, whatever sequences they came in
+    assert CountTriangle([[1], [2, 3]]) == CountTriangle(((1,), (2, 3)))
 
 
 def test_package_names():
@@ -140,6 +146,11 @@ WRONG_TYPES = {
     "enumerate_vhcs((2.5, 1, 3))": lambda: list(duckwords.enumerate_vhcs((2.5, 1, 3))),
     "enumerate_vhcs((2, 2, 1))": lambda: list(duckwords.enumerate_vhcs((2, 2, 1))),
     "enumerate_vhcs(None)": lambda: list(duckwords.enumerate_vhcs(None)),
+    "CountTriangle(None)": lambda: CountTriangle(None),
+    "CountTriangle(((1.5,),))": lambda: CountTriangle(((1.5,),)),
+    "CountTriangle(((True,),))": lambda: CountTriangle(((True,),)),
+    "CountTriangle.from_csv(None)": lambda: CountTriangle.from_csv(None),
+    "CountTriangle.from_csv(b'1')": lambda: CountTriangle.from_csv(b"1"),
 }
 
 
