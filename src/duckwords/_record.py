@@ -10,7 +10,7 @@ and nowhere else: the fields are read-only; two records are equal when they
 are of the same class and their fields are equal, and equal records hash
 equal; the repr is `Name(field=value, ...)`; copying and pickling go through
 the constructor.  So a field added to `__slots__` takes part in equality,
-which the maps use as their domain check, without further code.
+which the roundtrip checks compare, without further code.
 """
 import operator
 

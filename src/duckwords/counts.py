@@ -171,11 +171,18 @@ def _binomial_transform(duck: CountTriangle) -> CountTriangle:
 
 
 class IntPolynomial(Record):
-    """Exact-integer polynomial, coefficients in ascending degree."""
+    """Exact-integer polynomial, coefficients in ascending degree: ints, stored
+    as a tuple; anything else raises InvalidInput."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]):
+        try:
+            coefficients = tuple(coefficients)
+        except TypeError as exc:
+            raise InvalidInput(f"coefficients are not a sequence: {coefficients!r}") from exc
+        if not all(type(c) is int for c in coefficients):
+            raise InvalidInput(f"a coefficient is not an int: {coefficients!r}")
         set_field(self, "coefficients", coefficients)
 
     def __call__(self, x: int) -> int:
@@ -332,7 +339,7 @@ def verify_identities(kmax: int, golden_dir: str | Path | None = None) -> dict:
     """
     from .hooks import verify_eq1
     from .maps import tennis_lawns
-    from .words import enumerate_underlined
+    from .words import enumerate_3d_dyck, non_x_preceded_ys
 
     duck = duck_triangle(kmax)
     underlined = _binomial_transform(duck)
@@ -354,10 +361,19 @@ def verify_identities(kmax: int, golden_dir: str | Path | None = None) -> dict:
         all(duck.row(k)[k - 1] == catalan(k) * catalan(k + 2) - catalan(k + 1) ** 2 for k in ks),
         values=[r[-1] for r in duck.rows])
 
+    def listed_underlined_row(k: int) -> tuple[int, ...]:
+        # a (k, i)-underlined word is a 3D-Dyck word with i of its j Y's not
+        # preceded by an X underlined, so each word adds comb(j, i) to entry i
+        row = [0] * k
+        for w in enumerate_3d_dyck(k):
+            j = len(non_x_preceded_ys(w))
+            for i in range(j + 1):
+                row[i] += comb(j, i)
+        return tuple(row)
+
     gen_max = min(kmax, VERIFY_ENUM_KMAX)
     add("underline_transform", "binomial transform matches direct generation of underlined words",
-        all(underlined.row(k) == tuple(sum(1 for _ in enumerate_underlined(k, i)) for i in range(k))
-            for k in range(1, gen_max + 1)),
+        all(underlined.row(k) == listed_underlined_row(k) for k in range(1, gen_max + 1)),
         checked_up_to=gen_max)
 
     add("total_power_sum", "underlined row sums equal sum of 2^j duck entries",

@@ -10,24 +10,30 @@ respectively) is a 3D-Dyck word.
 
 A reduced configuration with fewer points has SW endpoints with a second
 role; phi_prime splits each off onto a new point one column to the right,
-applies phi and underlines the new heights.  Each direction is one pass.  The
-reader labels heights upward and writes a moved SW endpoint as an underlined
-y just above its anchor: the point itself when it is a NE end, else the SW end
-of its left neighbour (a descent top).  Taking hooks in SW order stacks a
-chain of anchors in order.  The builder fills positions left to right; each Y
-is followed by its descent bottom, the top of a stack of the X heights scanned
-so far (the largest unused X below it).  A y adds no point: its hook starts
-at the point before it.  The builder lists hooks in SW order as it places SW
-ends, each in a slot that its Z fills with the NE end, so it never sorts
-them.  It checks its text as it goes and returns None on any invalid one, so
-it is the one check of a word.
+applies phi and underlines the new heights.  Each direction is one pass over
+the positions.  The builder fills positions left to right; each Y is followed
+by its descent bottom, the top of a stack of the X heights scanned so far (the
+largest unused X below it).  A y adds no point: its hook starts at the point
+before it.  The builder lists hooks in SW order as it places SW ends, each in
+a slot that its Z fills with the NE end, so it never sorts them.  It checks
+its text as it goes and returns None on any invalid one, so it is the one
+check of a word.
+
+The reader replays the builder on c's points in position order.  A point
+above the height so far is an endpoint, after an X for each height it skips:
+a Z when it is the NE end of the innermost open hook, as no later Z could
+close that hook, else a Y, whose bottom must come next.  A point below is the
+bottom of a y.  It compares every value and both ends of every hook with what
+the builder would place there, so it accepts c exactly when some text builds
+c, and returns that text; it is the one check of a configuration.
 
 Configurations come from `make_config`/`from_json`; a bare HookConfig is
-trusted to be well formed, hooks in SW order included.  An UnderlinedDuckWord
-checks itself when it is built, so phi_prime_inverse trusts its word.  phi and
-phi_prime accept c exactly when the text read off c builds c again: c is then
-reduced, valid and 312-avoiding, as phi_prime is a bijection onto the valid
-words (a theorem of the paper, checked on every roundtrip output in the
+trusted to be well formed, hooks in SW order included; phi and phi_prime still
+reject one with a position or value out of range, as outside their domain.  An
+UnderlinedDuckWord checks itself when it is built, so phi_prime_inverse trusts
+its word.  phi and phi_prime accept c exactly when some text builds c: c is
+then reduced, valid and 312-avoiding, as phi_prime is a bijection onto the
+valid words (a theorem of the paper, checked on every roundtrip output in the
 tests).  phi_prime wraps that text unchecked; phi_inverse builds its word.
 
 The paper's expansion of c, the configuration with 3k points and the heights
@@ -43,45 +49,59 @@ from .words import UnderlinedDuckWord
 
 def phi(c: HookConfig) -> str:
     """The 3D-Dyck word of a reduced maximal 312-avoiding configuration."""
-    text = _checked_text(c)
+    word, _ = _read(c)
     if c.n != 3 * c.k:
         raise InvalidInput(f"expected 3k points, got n={c.n} with k={c.k} hooks")
-    return text
+    return word
 
 
-def _checked_text(c: HookConfig) -> str:
-    text = _read(c)
-    if _build(text) != c:
-        raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
-    return text
-
-
-def _read(c: HookConfig) -> str:
-    # X: descent bottom, Z: NE end, Y: pure SW end, y: a moved SW end.  In
-    # SW order a point's hook to the left comes before its own, so one pass
-    # over the hooks meets every Z before the SW end on the same point.
-    perm = c.perm
+def _read(c: HookConfig) -> tuple[str, list[int]]:
+    # The text that builds c, as its upper-case word and the text positions of
+    # its y's, found by replaying _build on c's points (see above).
+    perm, hooks = c.perm, c.hooks
     n = len(perm)
-    labels = [""] * n
-    prev = 0
-    for v in perm:
-        if v < prev:
-            labels[v - 1] = "X"
-        prev = v
-    sw_slot = [0] * (n + 1)  # sw_slot[a]: index of the label holding a's SW end
-    for a, b in c.hooks:
-        h = perm[a - 1] - 1
-        label = labels[h]
-        if label == "X":
-            h = sw_slot[a - 1]
-            labels[h] += "y"
-        elif label:
-            labels[h] = label + "y"
+    letters = ["X"] * (3 * len(hooks))
+    underlines: list[int] = []
+    bottoms: list[int] = []  # unused X heights, largest on top
+    open_ne = [0]  # NE positions of the open hooks, innermost last, on a 0 matching none
+    slot = h = p = t = 0  # hooks opened, height, points read, letters read
+    try:
+        while p < n:
+            v = perm[p]
+            p += 1
+            if h < v <= n:
+                # an endpoint after an X for each height it skips: a Z when it
+                # closes the innermost open hook, as no later Z could, else a
+                # Y that opens the next hook and is followed by its bottom
+                if v > h + 1:
+                    bottoms += range(h + 1, v)
+                t += v - h
+                h = v
+                if open_ne[-1] == p:
+                    open_ne.pop()
+                    letters[t - 1] = "Z"
+                    continue
+                a, b = hooks[slot]
+                if a != p or perm[p] != bottoms.pop():
+                    break
+                p += 1
+            else:
+                # the bottom of a y, whose hook starts at the point before it
+                a, b = hooks[slot]
+                if v != bottoms.pop() or a != p - 1:
+                    break
+                t += 1
+                underlines.append(t)
+            letters[t - 1] = "Y"
+            open_ne.append(b)
+            slot += 1
         else:
-            labels[h] = "Y"
-        sw_slot[a] = h
-        labels[perm[b - 1] - 1] = "Z"
-    return "".join(labels)
+            # the n points took n heights up to n, so no bottom is left
+            if open_ne == [0] and slot == len(hooks):
+                return "".join(letters), underlines
+    except (IndexError, ValueError):  # past an end, or a hook that is not a pair
+        pass
+    raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
 
 
 def phi_inverse(w: str) -> HookConfig:
@@ -143,14 +163,8 @@ def _build(text: str) -> HookConfig | None:
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:
     """Underlined duck word of any reduced 312-avoiding configuration:
     phi of the expansion, with the inserted heights underlined."""
-    text = _checked_text(c)
-    underlines = []
-    p = text.find("y")
-    while p >= 0:
-        underlines.append(p + 1)
-        p = text.find("y", p + 1)
-    return UnderlinedDuckWord._unchecked(
-        text.upper() if underlines else text, frozenset(underlines))
+    word, underlines = _read(c)
+    return UnderlinedDuckWord._unchecked(word, frozenset(underlines))
 
 
 def phi_prime_inverse(u: UnderlinedDuckWord) -> HookConfig:

@@ -20,7 +20,7 @@ def maximal_configs():
 def in_domain(c) -> bool:
     """phi_prime's domain as the paper states it, checked directly: conditions
     (i)-(iii), 312-avoiding and reduced.  phi's is the part with 3k points.
-    The reference for the rebuild check inside `maps.phi_prime`."""
+    The reference for the check that `maps.phi_prime` makes as it reads c."""
     return check_valid(c).valid and avoids_312(c.perm) and is_reduced(c)
 
 

@@ -109,8 +109,9 @@ def _valid_by_drawing(pi, hooks) -> bool:
 def test_validity_matches_the_drawing():
     # every permutation with n <= 8 and every 312-avoider with n = 9; each
     # choice of one NE position j with pi_j > pi_top per descent top.  The
-    # maps decide their domain by rebuilding, without check_valid: each
-    # accepts exactly the configurations the direct checks put in it.
+    # maps decide their domain as they read, replaying the builder, without
+    # check_valid: each accepts exactly the configurations the direct checks
+    # put in it.
     perms = itertools.chain(
         (pi for n in range(9) for pi in itertools.permutations(range(1, n + 1))),
         enumerate_av312(9),

@@ -182,6 +182,155 @@ def test_maps_reject_configs_outside_their_domain():
     assert is_reduced(CONTAINS_312_CONFIG) and not is_reduced(UNREDUCED_CONFIG)
 
 
+def reference_read(c):
+    """The reader before it checked as it read: label each height by the role
+    of its point, then build the text again and compare the result with c.
+    Returns the word and its underlines; a position or value out of range
+    may raise IndexError."""
+    perm = c.perm
+    n = len(perm)
+    labels = [""] * n
+    prev = 0
+    for v in perm:
+        if v < prev:
+            labels[v - 1] = "X"
+        prev = v
+    sw_slot = [0] * (n + 1)  # sw_slot[a]: index of the label holding a's SW end
+    for a, b in c.hooks:
+        h = perm[a - 1] - 1
+        label = labels[h]
+        if label == "X":
+            h = sw_slot[a - 1]
+            labels[h] += "y"
+        elif label:
+            labels[h] = label + "y"
+        else:
+            labels[h] = "Y"
+        sw_slot[a] = h
+        labels[perm[b - 1] - 1] = "Z"
+    text = "".join(labels)
+    if _build(text) != c:
+        raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
+    return text.upper(), frozenset(p for p, ch in enumerate(text, start=1) if ch == "y")
+
+
+def assert_reads_as_the_reference(c):
+    # phi_prime gives the reference's word and underlines, or both reject;
+    # phi gives the same word on 3k points, and rejects the rest
+    try:
+        expected = reference_read(c)
+    except InvalidInput:
+        expected = None
+    try:
+        u = phi_prime(c)
+    except InvalidInput:
+        u = None
+    assert (None if u is None else (u.word, u.underlines)) == expected, c
+    maximal = expected is not None and c.n == 3 * c.k
+    assert accepts(phi, c) == maximal, c
+    if maximal:
+        assert phi(c) == expected[0], c
+
+
+def test_reader_matches_read_and_rebuild_on_every_small_config():
+    # every set of hooks with distinct SW positions a < b on every
+    # permutation with n <= 5, in SW order and reversed
+    seen = 0
+    for n in range(6):
+        for pi in itertools.permutations(range(1, n + 1)):
+            choices = [[None] + list(range(a + 1, n + 1)) for a in range(1, n + 1)]
+            for ne in itertools.product(*choices):
+                hooks = tuple((a, b) for a, b in enumerate(ne, start=1) if b)
+                for order in {hooks, hooks[::-1]}:
+                    assert_reads_as_the_reference(HookConfig(pi, order))
+                    seen += 1
+    assert seen == 28518
+
+
+def mutate(c, rng):
+    """c with one of four seeded changes: two values swapped, a hook end
+    moved by one within 1..n, two hooks swapped, or a hook dropped."""
+    perm, hooks = list(c.perm), list(c.hooks)
+    kind = rng.randrange(4)
+    if kind == 0:
+        i, j = rng.sample(range(len(perm)), 2)
+        perm[i], perm[j] = perm[j], perm[i]
+    elif kind == 1:
+        h = rng.randrange(len(hooks))
+        ends = list(hooks[h])
+        e = rng.randrange(2)
+        ends[e] = min(max(ends[e] + rng.choice((-1, 1)), 1), len(perm))
+        hooks[h] = tuple(ends)
+    elif kind == 2:
+        i, j = rng.sample(range(len(hooks)), 2)
+        hooks[i], hooks[j] = hooks[j], hooks[i]
+    else:
+        del hooks[rng.randrange(len(hooks))]
+    return HookConfig(tuple(perm), tuple(hooks))
+
+
+def test_reader_matches_read_and_rebuild_on_mutated_configs():
+    # seeded configurations at k = 8 and k = 32, a random half of their
+    # eligible Y's underlined, each read as it is and after 20 mutations
+    rng = random.Random(26)
+    accepted = rejected = 0
+    for k in [8] * 60 + [32] * 60:
+        w = dyck3_letters(k, rng.choice)
+        letters = list(w)
+        for p in non_x_preceded_ys(w):
+            if rng.random() < 0.5:
+                letters[p - 1] = "y"
+        c = phi_prime_inverse(UnderlinedDuckWord.parse("".join(letters)))
+        assert_reads_as_the_reference(c)
+        for _ in range(20):
+            m = mutate(c, rng)
+            assert_reads_as_the_reference(m)
+            if accepts(phi_prime, m):
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted + rejected == 2400 and accepted and rejected
+
+
+ILL_FORMED = [
+    HookConfig((1, 2, 3), ((1, 5),)),            # NE position past the end
+    HookConfig((2, 1, 3), ((4, 5),)),            # SW position past the end
+    HookConfig((2, 1, 3), ((1, 3), (2, 9))),
+    HookConfig((), ((1, 2),)),
+    HookConfig((2, 1, 7), ((1, 3),)),            # a value above n
+    HookConfig((4, 1, 3), ((1, 3),)),
+    HookConfig((2, 1, 0), ((1, 3),)),            # a value below 1
+    HookConfig((2, 1, 3), ((0, 3),)),            # a position below 1
+    HookConfig((2, 1, 3), ((1, 3, 4),)),         # a hook that is not a pair
+]
+
+
+def test_maps_reject_ill_formed_bare_configs():
+    # a bare HookConfig is not checked when it is built; phi and phi_prime
+    # reject one whose positions or values are out of range
+    for c in ILL_FORMED:
+        for f in (phi, phi_prime):
+            with pytest.raises(InvalidInput):
+                f(c)
+    # seeded configurations with at least one value or position outside 1..n
+    rng = random.Random(2601)
+    for _ in range(2000):
+        n = rng.randrange(7)
+        perm = rng.sample(range(1, n + 1), n)
+        hooks = [tuple(rng.randint(1, n) if n else 1 for _ in range(2))
+                 for _ in range(rng.randrange(1, 4))]
+        out = rng.choice((-1, 0, n + 1, n + 3))
+        if n and rng.random() < 0.5:
+            perm[rng.randrange(n)] = out
+        else:
+            h = rng.randrange(len(hooks))
+            hooks[h] = (out, hooks[h][1]) if rng.random() < 0.5 else (hooks[h][0], out)
+        c = HookConfig(tuple(perm), tuple(hooks))
+        for f in (phi, phi_prime):
+            with pytest.raises(InvalidInput):
+                f(c)
+
+
 def test_expand_known_value():
     # the expansion is phi_inverse of phi_prime's word, with the underlined
     # heights inserted; the contraction is phi_prime_inverse

@@ -87,7 +87,7 @@ def test_records_of_different_classes_differ():
         for j, y in enumerate(values):
             assert (x == y) is (i == j)
     # the same field values in two classes, or as a tuple, are not equal
-    assert IntPolynomial(((1,),)) != CountTriangle(((1,),))
+    assert IntPolynomial(()) != CountTriangle(())
     config = HookConfig((2, 1, 3), ((1, 3),))
     assert config != ((2, 1, 3), ((1, 3),)) and config != (2, 1, 3)
     assert ValidityReport(True, "none") != ValidityReport(True, "none", ())
@@ -151,6 +151,10 @@ WRONG_TYPES = {
     "CountTriangle(((True,),))": lambda: CountTriangle(((True,),)),
     "CountTriangle.from_csv(None)": lambda: CountTriangle.from_csv(None),
     "CountTriangle.from_csv(b'1')": lambda: CountTriangle.from_csv(b"1"),
+    "IntPolynomial(None)": lambda: IntPolynomial(None),
+    "IntPolynomial(('a',))": lambda: IntPolynomial(("a",)),
+    "IntPolynomial((1.5,))": lambda: IntPolynomial((1.5,)),
+    "IntPolynomial((True,))": lambda: IntPolynomial((True,)),
 }
 
 
