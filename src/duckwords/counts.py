@@ -186,18 +186,23 @@ class IntPolynomial(Record):
         set_field(self, "coefficients", coefficients)
 
     def __call__(self, x: int) -> int:
+        if type(x) is not int:
+            raise InvalidInput(f"x must be an int, got {x!r}")
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
 
     def shift(self, delta: int) -> "IntPolynomial":
-        """The polynomial p(x + delta), exactly."""
-        n = len(self.coefficients)
-        out = [0] * n
-        for i, c in enumerate(self.coefficients):
-            for j in range(i + 1):
-                out[j] += c * comb(i, j) * delta ** (i - j)
+        """The polynomial p(x + delta), exactly, by repeated synthetic
+        division by x - delta (Horner's Taylor shift)."""
+        if type(delta) is not int:
+            raise InvalidInput(f"delta must be an int, got {delta!r}")
+        out = list(self.coefficients)
+        n = len(out)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += delta * out[j + 1]
         return IntPolynomial(tuple(out))
 
 

@@ -17,7 +17,9 @@ cuts a branch once a push fixes the bare points so far and they cannot all
 be NE ends: the first lies left of every top, or they and n (always bare)
 outnumber the k hooks.  It is a walk of its own, not enumerate_av312's:
 that bookkeeping makes a walk over all of Av_n(312) almost three times as
-slow.
+slow.  The hook search on each pi lists all its VHCs.  The reduced count
+skips a pi whose bare points outnumber its tops or start left of every top,
+and keeps a VHC when every bare point is one of its NE ends.
 
 A hook on pi is a pair (a, b) of positions with a < b and pi[a-1] < pi[b-1].
 Geometrically it is the L-shaped polyline running from the plot point
@@ -50,7 +52,6 @@ which the maps do not call.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from math import comb
 from typing import Iterator, Sequence
 
@@ -186,22 +187,13 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     """
     pi = check_permutation(pi)
     tops = [i for i, _ in descent_table(pi)]
-    for ends in _walk_vhcs(pi, tops, ()):
+    for ends in _walk_vhcs(pi, tops):
         yield HookConfig(pi, tuple(zip(tops, ends)))
 
 
-def _walk_vhcs(pi: Permutation, tops: Sequence[int], bare: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # The NE ends, one per top, of the VHCs on pi in enumerate_vhcs order
-    # that end a hook on every point of `bare`: a branch is cut once every
-    # top left of such a point has its hook and the point is still bare.
+def _walk_vhcs(pi: Permutation, tops: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    # The NE ends, one per top, of the VHCs on pi in enumerate_vhcs order.
     n, m = len(pi), len(tops)
-    # NE ends are distinct, and no hook reaches a point left of every top
-    if len(bare) > m or bare and bare[0] < tops[0]:
-        return
-    # due[d]: the points of `bare` that must be NE ends once tops[:d] have hooks
-    due: list[list[int]] = [[] for _ in range(m + 1)]
-    for p in bare:
-        due[bisect_left(tops, p)].append(p)
     if not m:
         yield ()
         return
@@ -222,15 +214,14 @@ def _walk_vhcs(pi: Permutation, tops: Sequence[int], bare: Sequence[int]) -> Ite
         if b < limit:
             ends.append(b)
             d = len(ends)
-            if not due[d] or all(p in ends for p in due[d]):
-                if d == m:
-                    yield tuple(ends)
-                else:
-                    above[b], a, limit = limit, tops[d], b
-                    while limit <= a:
-                        limit = above[limit]
-                    b = ng[a]
-                    continue
+            if d == m:
+                yield tuple(ends)
+            else:
+                above[b], a, limit = limit, tops[d], b
+                while limit <= a:
+                    limit = above[limit]
+                b = ng[a]
+                continue
             b = ng[ends.pop()]
         elif ends:
             limit = above[ends[-1]]
@@ -273,7 +264,7 @@ def hooks_projection(c: HookConfig) -> str:
 
 
 def count_vhcs(pi: Permutation) -> int:
-    return sum(1 for _ in _walk_vhcs(pi, [i for i, _ in descent_table(pi)], ()))
+    return sum(1 for _ in _walk_vhcs(pi, [i for i, _ in descent_table(pi)]))
 
 
 def _av312_ending_in_n(n: int, k: int | None = None,
@@ -281,8 +272,8 @@ def _av312_ending_in_n(n: int, k: int | None = None,
     # (pi, tops, bare) as in the module docstring, in lexicographic order,
     # with k descents if k is given; step makes one move per frame and undoes
     # it in the shared out and stack.  With `reduced` a push, which fixes the
-    # bare points so far, is not taken once _walk_vhcs would reject them:
-    # with n they outnumber k, or the first has no top left of it.
+    # bare points so far, is not taken once no VHC can end a hook on each of
+    # them: with n they outnumber k, or the first has no top left of it.
     if n == 0:
         return [((), (), ())] if not k else []
     m, cap = n - 1, n if k is None else k
@@ -324,17 +315,22 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
     bookkeeping would slow (see the module docstring).  A configuration is
     reduced iff every point that is neither a descent top nor a descent
     bottom is a NE end.  The recursion cuts a branch once such a point is
-    fixed left of every top or, with k, once those points and n outnumber k;
-    on each permutation left, the hook search stops when those points
-    outnumber the hooks, and cuts a branch once one can no longer be reached.
-    A recursion deeper than Python allows raises ResourceLimit.
+    fixed left of every top or, with k, once those points and n outnumber k.
+    A permutation left whose bare points outnumber its tops, or whose first
+    bare point lies left of every top, is skipped; on the others every VHC
+    is listed and kept when each bare point is one of its NE ends, the cover
+    test verify_eq1 also applies.  A recursion deeper than Python allows
+    raises ResourceLimit.
     """
     check_size(n, "n")
     if k is not None:
         check_size(k, "k")
     for pi, tops, bare in _av312_ending_in_n(n, k, reduced=True):
-        for ends in _walk_vhcs(pi, tops, bare):
-            yield HookConfig(pi, tuple(zip(tops, ends)))
+        if len(bare) > len(tops) or bare and bare[0] < tops[0]:
+            continue  # NE ends are distinct, and none lies left of every top
+        for ends in _walk_vhcs(pi, tops):
+            if all(p in ends for p in bare):
+                yield HookConfig(pi, tuple(zip(tops, ends)))
 
 
 def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:
@@ -358,7 +354,7 @@ def verify_eq1(n: int, bound: int = DEFAULT_BRUTE_BOUND) -> dict:
     check_brute_bound(n, bound)
     lhs = reduced_n = 0
     for pi, tops, bare in _av312_ending_in_n(n):
-        for ends in _walk_vhcs(pi, tops, ()):
+        for ends in _walk_vhcs(pi, tops):
             lhs += 1
             reduced_n += all(p in ends for p in bare)
     reduced_counts = [sum(1 for _ in enumerate_red_vhcs_av312(r)) for r in range(n)] + [reduced_n]

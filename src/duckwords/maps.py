@@ -29,7 +29,8 @@ c, and returns that text; it is the one check of a configuration.
 
 Configurations come from `make_config`/`from_json`; a bare HookConfig is
 trusted to be well formed, hooks in SW order included; phi and phi_prime still
-reject one with a position or value out of range, as outside their domain.  An
+reject one with a position or value out of range, or with a part of a type
+the reader cannot compare or index with, as outside their domain.  An
 UnderlinedDuckWord checks itself when it is built, so phi_prime_inverse trusts
 its word.  phi and phi_prime accept c exactly when some text builds c: c is
 then reduced, valid and 312-avoiding, as phi_prime is a bijection onto the
@@ -59,13 +60,13 @@ def _read(c: HookConfig) -> tuple[str, list[int]]:
     # The text that builds c, as its upper-case word and the text positions of
     # its y's, found by replaying _build on c's points (see above).
     perm, hooks = c.perm, c.hooks
-    n = len(perm)
-    letters = ["X"] * (3 * len(hooks))
     underlines: list[int] = []
     bottoms: list[int] = []  # unused X heights, largest on top
     open_ne = [0]  # NE positions of the open hooks, innermost last, on a 0 matching none
     slot = h = p = t = 0  # hooks opened, height, points read, letters read
     try:
+        n = len(perm)
+        letters = ["X"] * (3 * len(hooks))
         while p < n:
             v = perm[p]
             p += 1
@@ -99,7 +100,8 @@ def _read(c: HookConfig) -> tuple[str, list[int]]:
             # the n points took n heights up to n, so no bottom is left
             if open_ne == [0] and slot == len(hooks):
                 return "".join(letters), underlines
-    except (IndexError, ValueError):  # past an end, or a hook that is not a pair
+    # past an end, a hook that is not a pair, or a part of the wrong type
+    except (IndexError, TypeError, ValueError):
         pass
     raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
 

@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 
 from duckwords.counts import (
@@ -129,6 +132,24 @@ def test_int_polynomial():
     p = IntPolynomial((1, 2, 3))  # 1 + 2x + 3x^2
     assert p(0) == 1 and p(1) == 6 and p(-1) == 2
     assert p.shift(1)(0) == p(1)  # shift composes with translation
+
+
+def reference_shift(coefficients, delta):
+    # p(x + delta) by the binomial expansion of each (x + delta)^i
+    out = [0] * len(coefficients)
+    for i, c in enumerate(coefficients):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * delta ** (i - j)
+    return tuple(out)
+
+
+def test_shift_matches_the_binomial_expansion():
+    rng = random.Random(2701)
+    for _ in range(400):
+        coefficients = tuple(rng.randint(-10**6, 10**6) for _ in range(rng.randrange(13)))
+        p = IntPolynomial(coefficients)
+        for delta in (-3, -1, 0, 1, 2, rng.randint(-50, 50)):
+            assert p.shift(delta).coefficients == reference_shift(coefficients, delta)
 
 
 def test_f_and_h_polynomials():

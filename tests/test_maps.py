@@ -302,12 +302,18 @@ ILL_FORMED = [
     HookConfig((2, 1, 0), ((1, 3),)),            # a value below 1
     HookConfig((2, 1, 3), ((0, 3),)),            # a position below 1
     HookConfig((2, 1, 3), ((1, 3, 4),)),         # a hook that is not a pair
+    HookConfig(("a",), ()),                      # a value that is not a number
+    HookConfig((2, 1, 3), (5,)),                 # a hook that is not a sequence
+    HookConfig((2.0, 1, 3), ((1, 3),)),          # a float value, which cannot index
+    HookConfig(None, ()),                        # perm without a length
+    HookConfig((2, 1, 3), None),                 # hooks without a length
 ]
 
 
 def test_maps_reject_ill_formed_bare_configs():
     # a bare HookConfig is not checked when it is built; phi and phi_prime
-    # reject one whose positions or values are out of range
+    # reject one whose positions or values are out of range or of a type the
+    # reader cannot use
     for c in ILL_FORMED:
         for f in (phi, phi_prime):
             with pytest.raises(InvalidInput):

@@ -155,6 +155,12 @@ WRONG_TYPES = {
     "IntPolynomial(('a',))": lambda: IntPolynomial(("a",)),
     "IntPolynomial((1.5,))": lambda: IntPolynomial((1.5,)),
     "IntPolynomial((True,))": lambda: IntPolynomial((True,)),
+    "IntPolynomial((1, 2))(2.5)": lambda: IntPolynomial((1, 2))(2.5),
+    "IntPolynomial((1, 2))(None)": lambda: IntPolynomial((1, 2))(None),
+    "IntPolynomial((1, 2))(True)": lambda: IntPolynomial((1, 2))(True),
+    "IntPolynomial((1, 2)).shift(None)": lambda: IntPolynomial((1, 2)).shift(None),
+    "IntPolynomial((1, 2)).shift(0.5)": lambda: IntPolynomial((1, 2)).shift(0.5),
+    "IntPolynomial((1, 2)).shift(True)": lambda: IntPolynomial((1, 2)).shift(True),
 }
 
 
