@@ -15,11 +15,12 @@ are asked for, so no other permutation is built.  A reduced VHC ends a hook
 on every bare point, so when only reduced ones are counted the walk also
 cuts a branch once a push fixes the bare points so far and they cannot all
 be NE ends: the first lies left of every top, or they and n (always bare)
-outnumber the k hooks.  It is a walk of its own, not enumerate_av312's:
-that bookkeeping makes a walk over all of Av_n(312) almost three times as
-slow.  The hook search on each pi lists all its VHCs.  The reduced count
-skips a pi whose bare points outnumber its tops or start left of every top,
-and keeps a VHC when every bare point is one of its NE ends.
+outnumber the k hooks.  It is a walk of its own, not the perms stack walk
+that enumerate_av312 and enumerate_dyck read: that bookkeeping makes a walk
+over all of Av_n(312) almost three times as slow.  The hook search on each
+pi lists all its VHCs.  The reduced count skips a pi whose bare points
+outnumber its tops or start left of every top, and keeps a VHC when every
+bare point is one of its NE ends.
 
 A hook on pi is a pair (a, b) of positions with a < b and pi[a-1] < pi[b-1].
 Geometrically it is the L-shaped polyline running from the plot point
@@ -311,10 +312,10 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
     Only permutations that end in n carry a VHC, and a VHC has one hook per
     descent, so with k no permutation with another number of descents is
     built: the recursion over stack moves that lists Av_{n-1}(312) here cuts
-    a branch at descent k + 1.  It is not enumerate_av312, whose walk that
-    bookkeeping would slow (see the module docstring).  A configuration is
-    reduced iff every point that is neither a descent top nor a descent
-    bottom is a NE end.  The recursion cuts a branch once such a point is
+    a branch at descent k + 1.  It is not the walk enumerate_av312 reads,
+    which that bookkeeping would slow (see the module docstring).  A
+    configuration is reduced iff every point that is neither a descent top
+    nor a descent bottom is a NE end.  The recursion cuts a branch once such a point is
     fixed left of every top or, with k, once those points and n outnumber k.
     A permutation left whose bare points outnumber its tops, or whose first
     bare point lies left of every top, is skipped; on the others every VHC

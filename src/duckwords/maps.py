@@ -29,10 +29,10 @@ c, and returns that text; it is the one check of a configuration.
 
 Configurations come from `make_config`/`from_json`; a bare HookConfig is
 trusted to be well formed, hooks in SW order included; phi and phi_prime still
-reject one with a position or value out of range, or with a part of a type
-the reader cannot compare or index with, as outside their domain.  An
-UnderlinedDuckWord checks itself when it is built, so phi_prime_inverse trusts
-its word.  phi and phi_prime accept c exactly when some text builds c: c is
+reject one with a position or value out of range, a value or hook end that is
+not an int (a float or bool one included), or a part the reader cannot unpack,
+as outside their domain.  An UnderlinedDuckWord checks itself when it is
+built, so phi_prime_inverse trusts its word.  phi and phi_prime accept c exactly when some text builds c: c is
 then reduced, valid and 312-avoiding, as phi_prime is a bijection onto the
 valid words (a theorem of the paper, checked on every roundtrip output in the
 tests).  phi_prime wraps that text unchecked; phi_inverse builds its word.
@@ -82,17 +82,18 @@ def _read(c: HookConfig) -> tuple[str, list[int]]:
                     open_ne.pop()
                     letters[t - 1] = "Z"
                     continue
-                a, b = hooks[slot]
-                if a != p or perm[p] != bottoms.pop():
-                    break
+                v = perm[p]
                 p += 1
-            else:
-                # the bottom of a y, whose hook starts at the point before it
-                a, b = hooks[slot]
-                if v != bottoms.pop() or a != p - 1:
-                    break
+            else:  # the bottom of a y
                 t += 1
                 underlines.append(t)
+            # either way v is the bottom of the hook just opened, which starts
+            # at the point before it; these are only compared, so each must
+            # be an int, as a float or bool would compare equal to one
+            a, b = hooks[slot]
+            if (v != bottoms.pop() or a != p - 1
+                    or type(v) is not int or type(a) is not int or type(b) is not int):
+                break
             letters[t - 1] = "Y"
             open_ne.append(b)
             slot += 1

@@ -8,6 +8,13 @@ length 0.
 
 Text form: space-separated values ("3 2 1 5 6 4 7").  For n <= 9 a compact
 digit string ("3215647") is also accepted.
+
+312-avoidance is read off one stack: pi avoids 312 iff a stack fed 1..n in
+order can output pi, and its pushes and pops then spell a Dyck word (Knuth,
+TAOCP vol. 1, section 2.2.1, exercise 5).  _stack_walk walks that stack's
+moves; enumerate_av312 takes the outputs from it, words.enumerate_dyck the
+moves, and avoids_312 replays pi on the same stack.  The brute-force counts
+in `hooks` walk it again with cuts of their own.
 """
 from __future__ import annotations
 
@@ -31,17 +38,14 @@ def normalize(seq: Sequence[int]) -> Permutation:
     return tuple(rank[v] for v in seq)
 
 
-def is_permutation(seq: Sequence[int]) -> bool:
-    return sorted(seq) == list(range(1, len(seq) + 1))
-
-
 def check_permutation(seq: Sequence[int]) -> Permutation:
     """seq as a tuple, if it holds the ints 1..n (not bools or floats)."""
     try:
         pi = tuple(seq)
     except TypeError as exc:
         raise InvalidInput(f"not a permutation of [n]: {seq!r}") from exc
-    if any(type(v) is not int for v in pi) or not is_permutation(pi):
+    # the types first: a float or bool equal to an int passes the set test
+    if list(map(type, pi)).count(int) != len(pi) or set(pi) != set(range(1, len(pi) + 1)):
         raise InvalidInput(f"not a permutation of [n]: {seq!r}")
     return pi
 
@@ -73,33 +77,26 @@ def descent_table(pi: Permutation) -> tuple[tuple[int, int], ...]:
 
 def avoids_312(pi: Permutation) -> bool:
     """
-    Linear-time 312-avoidance test.
+    Linear-time 312-avoidance test, for a permutation of [n].
 
-    pi avoids 312 iff its inverse avoids 231, i.e. iff the inverse is
-    stack-sortable (Knuth), so we run one pass of stack sorting on the
-    inverse and check that it comes out sorted.
+    pi avoids 312 iff one stack fed 1..n can output it (see
+    enumerate_av312), so this replays pi on that stack: for each value v it
+    pushes until v has been fed, and then v must be on top.  Anything but a
+    permutation raises InvalidInput.
 
     >>> avoids_312((3, 4, 1, 5, 2))
     False
     >>> avoids_312((2, 1, 3, 5, 6, 4, 7))
     True
     """
-    n = len(pi)
-    inv = [0] * n
-    for i, v in enumerate(pi, start=1):
-        inv[v - 1] = i
     stack: list[int] = []
-    expect = 1
-    for v in inv:
-        while stack and stack[-1] < v:
-            if stack.pop() != expect:
-                return False
-            expect += 1
-        stack.append(v)
-    while stack:
-        if stack.pop() != expect:
+    fed = 0  # how many of 1..n have been pushed
+    for v in check_permutation(pi):
+        if v > fed:  # push fed + 1..v, and pop v at once
+            stack += range(fed + 1, v)
+            fed = v
+        elif stack.pop() != v:
             return False
-        expect += 1
     return True
 
 
@@ -109,20 +106,28 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
 
     A permutation avoids 312 iff one stack, fed 1..n in order, can output
     it (Knuth, TAOCP vol. 1, section 2.2.1, exercise 5), and each output
-    comes from one sequence of pushes and pops, a Dyck word; so this walks
-    those sequences in one loop, keeping the moves made so far.  It tries a
-    pop before a push: every value output after a push exceeds the current
-    stack top, so this gives lexicographic order.  |result| is the n-th
-    Catalan number.
+    comes from one sequence of pushes and pops, a Dyck word; _stack_walk
+    walks those sequences.  |result| is the n-th Catalan number.
 
     >>> [format_permutation(p) for p in enumerate_av312(3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1', '3 2 1']
     """
     check_size(n, "n")
+    for out, _ in _stack_walk(n):
+        yield tuple(out)
 
+
+def _stack_walk(n: int) -> Iterator[tuple[list[int], list[bool]]]:
+    # Every way one stack fed 1..n can output all n values, in one loop that
+    # keeps the moves made so far.  After each fill it yields the output and
+    # the moves (True for a push, False for a pop) as they stand, in lists
+    # that the next step changes.  A pop is tried before a push: every value
+    # output after a push exceeds the current stack top, so the outputs come
+    # in lexicographic order, and the moves in pop-first order.
     out: list[int] = []
     stack: list[int] = []
-    pushed: list[bool] = []  # the moves so far: True for a push, False for a pop
+    pushed: list[bool] = []
+    state = (out, pushed)  # yielded as is: one pair, not a new one per fill
     fed = 0  # how many of 1..n have been pushed
     while True:
         while len(out) < n:  # first moves: pop if the stack holds anything
@@ -133,7 +138,7 @@ def enumerate_av312(n: int) -> Iterator[Permutation]:
                 fed += 1
                 stack.append(fed)
                 pushed.append(True)
-        yield tuple(out)
+        yield state
         # undo moves back to the last pop that a push can replace
         while pushed:
             if pushed.pop():

@@ -109,23 +109,22 @@ def duck_index(w: str) -> int:
     return w.count("Y") - w.count("XY")
 
 
+# a logged stack move, False (a pop) or True (a push), as a byte -> D or U
+_MOVE_LETTERS = bytes.maketrans(b"\0\1", b"DU")
+
+
 def enumerate_dyck(k: int) -> Iterator[str]:
-    """Dyck words of length 2k in lexicographic order (D < U)."""
-    def walk(prefix: list[str], ups: int, height: int) -> Iterator[str]:
-        if len(prefix) == 2 * k:
-            yield "".join(prefix)
-            return
-        if height > 0:
-            prefix.append("D")
-            yield from walk(prefix, ups, height - 1)
-            prefix.pop()
-        if ups < k:
-            prefix.append("U")
-            yield from walk(prefix, ups + 1, height + 1)
-            prefix.pop()
+    """Dyck words of length 2k in lexicographic order (D < U).
+
+    Each is read off the moves of perms' stack walk over Av_k(312), a push
+    as U and a pop as D; the walk tries a pop first, so the words come with
+    D before U.
+    """
+    from .perms import _stack_walk  # not at the top: `map psi` loads no perms
 
     check_size(k, "k")
-    yield from walk([], 0, 0)
+    for _, pushed in _stack_walk(k):
+        yield bytes(pushed).translate(_MOVE_LETTERS).decode()
 
 
 def enumerate_3d_dyck(k: int) -> Iterator[str]:
@@ -450,27 +449,36 @@ def enumerate_rewritten(k: int, i: int) -> Iterator[RewrittenDuckWord]:
 
 def _circle_placements(flags, total) -> Iterator[tuple[int, ...]]:
     # Distribute `total` circles over the letters not flagged as underlined
-    # (circles may stack) such that every prefix has #circles >= #underlines.
+    # (circles may stack) such that every prefix has #circles >= #underlines,
+    # in lexicographic order: give each letter the fewest circles it allows,
+    # then back up to the last letter not underlined that can take one more.
+    # A loop, not a recursion 2k calls deep.
     length = len(flags)
-
-    def walk(pos: int, placed: int, counts: list[int], under_seen: int):
-        if pos == length:
+    counts: list[int] = []
+    placed = under = 0  # circles and underlines on the letters in counts
+    while True:
+        while len(counts) < length:
+            if not flags[len(counts)]:
+                c = max(under - placed, 0)
+                counts.append(c)
+                placed += c
+            elif placed > under:
+                under += 1
+                counts.append(0)
+            else:
+                break
+        else:
             if placed == total:
                 yield tuple(counts)
-            return
-        under_here = under_seen + int(flags[pos])
-        if not flags[pos]:
-            for c in range(total - placed + 1):
-                if placed + c < under_here:
-                    continue
-                counts.append(c)
-                yield from walk(pos + 1, placed + c, counts, under_here)
-                counts.pop()
+        while counts:
+            c = counts.pop()
+            if flags[len(counts)]:
+                under -= 1
+            elif placed < total:
+                counts.append(c + 1)
+                placed += 1
+                break
+            else:
+                placed -= c
         else:
-            if placed < under_here:
-                return
-            counts.append(0)
-            yield from walk(pos + 1, placed, counts, under_here)
-            counts.pop()
-
-    yield from walk(0, 0, [], 0)
+            return

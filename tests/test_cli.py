@@ -507,12 +507,18 @@ def test_readme_commands_run(capsys):
 
 
 def test_closed_pipe_exit_0():
-    # the 3D-Dyck words at k = 6 are 1.6 MB of output, more than a pipe holds
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    with subprocess.Popen(
-            [sys.executable, "-m", "duckwords.cli", "enumerate", "3d-dyck", "--k", "6"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
+    for argv in (
+        # the 3D-Dyck words at k = 6 are 1.6 MB of output, more than a pipe holds
+        ("3d-dyck", "--k", "6"),
+        # words of 1,200 letters, deeper than a recursion over letters could go
+        ("dyck", "--k", "600"),
+        ("rewritten", "--k", "600", "--i", "1"),
+    ):
+        with subprocess.Popen(
+                [sys.executable, "-m", "duckwords.cli", "enumerate", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0, argv
+            assert proc.stderr.read() == b"", argv

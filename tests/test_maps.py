@@ -305,6 +305,10 @@ ILL_FORMED = [
     HookConfig(("a",), ()),                      # a value that is not a number
     HookConfig((2, 1, 3), (5,)),                 # a hook that is not a sequence
     HookConfig((2.0, 1, 3), ((1, 3),)),          # a float value, which cannot index
+    HookConfig((2, 1.0, 3), ((1, 3),)),          # a float bottom, only compared
+    HookConfig((2, True, 3), ((1, 3),)),         # a bool bottom
+    HookConfig((2, 1, 3), ((1.0, 3.0),)),        # float hook ends, only compared
+    HookConfig((2, 1, 3), ((True, 3),)),         # a bool hook end
     HookConfig(None, ()),                        # perm without a length
     HookConfig((2, 1, 3), None),                 # hooks without a length
 ]

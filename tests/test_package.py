@@ -128,6 +128,11 @@ WRONG_TYPES = {
     "enumerate_3d_dyck(2.5)": lambda: list(duckwords.enumerate_3d_dyck(2.5)),
     "enumerate_3d_dyck(True)": lambda: list(duckwords.enumerate_3d_dyck(True)),
     "enumerate_av312(2.5)": lambda: list(duckwords.enumerate_av312(2.5)),
+    "avoids_312((0, 1))": lambda: duckwords.avoids_312((0, 1)),
+    "avoids_312((1, 1))": lambda: duckwords.avoids_312((1, 1)),
+    "avoids_312((3,))": lambda: duckwords.avoids_312((3,)),
+    "avoids_312((2.0, 1))": lambda: duckwords.avoids_312((2.0, 1)),
+    "avoids_312(None)": lambda: duckwords.avoids_312(None),
     "enumerate_underlined(2.5, 0)": lambda: list(duckwords.enumerate_underlined(2.5, 0)),
     "enumerate_underlined(2, 0.0)": lambda: list(duckwords.enumerate_underlined(2, 0.0)),
     "enumerate_rewritten(2.5, 0)": lambda: list(duckwords.enumerate_rewritten(2.5, 0)),

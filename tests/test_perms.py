@@ -108,7 +108,7 @@ def test_contains_pattern():
 
 def test_avoids_312_matches_pattern_search():
     import itertools
-    for n in range(7):
+    for n in range(8):
         for pi in itertools.permutations(range(1, n + 1)):
             assert avoids_312(pi) == (not contains_pattern(pi, (3, 1, 2)))
 

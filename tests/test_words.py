@@ -71,6 +71,8 @@ def test_yz_projection():
 def test_enumerate_dyck_counts():
     for k in range(7):
         assert sum(1 for _ in enumerate_dyck(k)) == catalan(k)
+    # far deeper than a recursion over letters could go
+    assert next(enumerate_dyck(600)) == "UD" * 600
 
 
 def test_enumerate_3d_dyck_counts():
