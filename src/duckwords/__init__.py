@@ -22,9 +22,7 @@ _EXPORTS = {
         "ValidityReport",
         "check_valid",
         "enumerate_vhcs",
-        "hooks_projection",
         "is_reduced",
-        "make_config",
         "reduce_config",
         "verify_eq1",
     ),
@@ -42,6 +40,7 @@ _EXPORTS = {
         "underline_all",
     ),
     "maps": (
+        "hooks_projection",
         "phi",
         "phi_inverse",
         "phi_prime",

@@ -41,20 +41,21 @@ horizontal at (a2, pi_b1), which is not a plot point.
 
 JSON form of a configuration: {"perm": [ints], "hooks": [[sw, ne], ...]}.
 
-Outside data becomes a HookConfig through `make_config` or `from_json`, which
-check the permutation (as `parse_permutation` does) and that every hook is an
+A HookConfig checks itself when it is built, as the word and count records
+do: the permutation (as `parse_permutation` does) and that every hook is an
 int pair (a, b) with 1 <= a < b <= n, pi_a < pi_b and a SW position of its
-own, and list the hooks in SW order.  The package trusts a HookConfig to be
-well formed, SW order included, so a bare `HookConfig(...)` is for values
-already checked; every map rejects one whose hooks are not in SW order.
-Validity, conditions (i)-(iii), is a separate question for `check_valid`,
-which the maps do not call.
+own; it raises InvalidInput otherwise and lists the hooks in SW order.
+`from_json` reads the JSON form through it.  `HookConfig._unchecked` skips the
+checks, for the producers whose output is valid by construction:
+enumerate_vhcs, enumerate_red_vhcs_av312, reduce_config and the builder in
+`maps`.  Validity, conditions (i)-(iii), is a separate question for
+`check_valid`, which the maps do not call.
 """
 from __future__ import annotations
 
 import json
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record, set_field
 from .errors import DEFAULT_BRUTE_BOUND, InvalidInput, ResourceLimit, check_brute_bound, check_size
@@ -69,11 +70,37 @@ Hook = tuple[int, int]
 
 
 class HookConfig(Record):
+    """A permutation and hooks on it, each a pair (a, b) of positions.  The
+    constructor checks the permutation (as `parse_permutation` does) and that
+    every hook is an int pair with 1 <= a < b <= n, pi_a < pi_b and a SW
+    position of its own, and raises InvalidInput otherwise; it stores the
+    hooks as a tuple of pairs in SW order."""
+
     __slots__ = ("perm", "hooks")
 
-    def __init__(self, perm: Permutation, hooks: tuple[Hook, ...]):
-        set_field(self, "perm", perm)
-        set_field(self, "hooks", hooks)
+    def __init__(self, perm: Sequence[int], hooks: Iterable[Hook]):
+        pi = check_permutation(perm)
+        try:
+            pairs = [(a, b) for a, b in hooks]
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"hooks are not a list of pairs: {hooks!r}") from exc
+        for a, b in pairs:
+            if type(a) is not int or type(b) is not int or not 1 <= a < b <= len(pi):
+                raise InvalidInput(f"hook {(a, b)!r} is not an int pair with 1 <= a < b <= {len(pi)}")
+            if pi[a - 1] >= pi[b - 1]:
+                raise InvalidInput(f"hook {(a, b)} has SW endpoint above NE endpoint")
+        if len({a for a, _ in pairs}) != len(pairs):
+            raise InvalidInput("two hooks share a SW position")
+        set_field(self, "perm", pi)
+        set_field(self, "hooks", tuple(sorted(pairs)))
+
+    @classmethod
+    def _unchecked(cls, perm: Permutation, hooks: tuple[Hook, ...]) -> "HookConfig":
+        """The configuration with these fields, without the constructor's checks."""
+        c = object.__new__(cls)
+        set_field(c, "perm", perm)
+        set_field(c, "hooks", hooks)
+        return c
 
     @property
     def n(self) -> int:
@@ -110,24 +137,7 @@ class HookConfig(Record):
             perm, hooks = obj["perm"], obj["hooks"]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise InvalidInput(f"bad hook configuration: {text!r}") from exc
-        return make_config(perm, hooks)
-
-
-def make_config(perm, hooks) -> HookConfig:
-    """A checked HookConfig, hooks in SW order; InvalidInput if ill formed."""
-    pi = check_permutation(perm)
-    try:
-        pairs = [(a, b) for a, b in hooks]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"hooks are not a list of pairs: {hooks!r}") from exc
-    for a, b in pairs:
-        if type(a) is not int or type(b) is not int or not 1 <= a < b <= len(pi):
-            raise InvalidInput(f"hook {(a, b)!r} is not an int pair with 1 <= a < b <= {len(pi)}")
-        if pi[a - 1] >= pi[b - 1]:
-            raise InvalidInput(f"hook {(a, b)} has SW endpoint above NE endpoint")
-    if len({a for a, _ in pairs}) != len(pairs):
-        raise InvalidInput("two hooks share a SW position")
-    return HookConfig(pi, tuple(sorted(pairs)))
+        return cls(perm, hooks)
 
 
 class ValidityReport(Record):
@@ -154,9 +164,8 @@ def check_valid(c: HookConfig) -> ValidityReport:
         for l in range(a + 1, b):
             if c.value_at(l) > yb:
                 return ValidityReport(False, "ii", ((a, b), (l, c.value_at(l))))
-    hooks = sorted(c.hooks)
-    for idx, (a1, b1) in enumerate(hooks):
-        for a2, b2 in hooks[idx + 1:]:
+    for idx, (a1, b1) in enumerate(c.hooks):
+        for a2, b2 in c.hooks[idx + 1:]:
             if a2 < b1 <= b2:
                 return ValidityReport(False, "iii", ((a1, b1), (a2, b2)))
     return ValidityReport(True, "none")
@@ -189,7 +198,7 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[HookConfig]:
     pi = check_permutation(pi)
     tops = [i for i, _ in descent_table(pi)]
     for ends in _walk_vhcs(pi, tops):
-        yield HookConfig(pi, tuple(zip(tops, ends)))
+        yield HookConfig._unchecked(pi, tuple(zip(tops, ends)))
 
 
 def _walk_vhcs(pi: Permutation, tops: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -244,24 +253,9 @@ def reduce_config(c: HookConfig) -> tuple[HookConfig, frozenset[int]]:
     removed = frozenset(range(1, c.n + 1)) - frozenset(keep)
     newpos = {old: i for i, old in enumerate(keep, start=1)}
     perm = normalize([c.value_at(p) for p in keep])
-    hooks = tuple(sorted((newpos[a], newpos[b]) for a, b in c.hooks))
-    return HookConfig(perm, hooks), removed
-
-
-def hooks_projection(c: HookConfig) -> str:
-    """
-    Dyck word of a reduced maximal configuration: scanning positions left to
-    right, each SW endpoint contributes U and each NE endpoint contributes D;
-    matched U/D pairs are the hooks.  InvalidInput outside phi's domain.
-
-    The endpoints of such a configuration are left-to-right maxima, so their
-    order by position is their order by height, the order in which phi's
-    word lists them as Y's and Z's; dropping its X's gives the projection.
-    """
-    from .maps import phi
-    from .words import _TO_DYCK
-
-    return phi(c).translate(_TO_DYCK)
+    # newpos is increasing, so the hooks stay in SW order
+    hooks = tuple((newpos[a], newpos[b]) for a, b in c.hooks)
+    return HookConfig._unchecked(perm, hooks), removed
 
 
 def count_vhcs(pi: Permutation) -> int:
@@ -331,7 +325,7 @@ def enumerate_red_vhcs_av312(n: int, k: int | None = None) -> Iterator[HookConfi
             continue  # NE ends are distinct, and none lies left of every top
         for ends in _walk_vhcs(pi, tops):
             if all(p in ends for p in bare):
-                yield HookConfig(pi, tuple(zip(tops, ends)))
+                yield HookConfig._unchecked(pi, tuple(zip(tops, ends)))
 
 
 def red_vhc_count_brute(k: int, n: int, bound: int = DEFAULT_BRUTE_BOUND) -> int:

@@ -25,17 +25,17 @@ a Z when it is the NE end of the innermost open hook, as no later Z could
 close that hook, else a Y, whose bottom must come next.  A point below is the
 bottom of a y.  It compares every value and both ends of every hook with what
 the builder would place there, so it accepts c exactly when some text builds
-c, and returns that text; it is the one check of a configuration.
+c, and returns that text; it is the one check that c lies in the domain.
 
-Configurations come from `make_config`/`from_json`; a bare HookConfig is
-trusted to be well formed, hooks in SW order included; phi and phi_prime still
-reject one with a position or value out of range, a value or hook end that is
-not an int (a float or bool one included), or a part the reader cannot unpack,
-as outside their domain.  An UnderlinedDuckWord checks itself when it is
-built, so phi_prime_inverse trusts its word.  phi and phi_prime accept c exactly when some text builds c: c is
-then reduced, valid and 312-avoiding, as phi_prime is a bijection onto the
-valid words (a theorem of the paper, checked on every roundtrip output in the
-tests).  phi_prime wraps that text unchecked; phi_inverse builds its word.
+A HookConfig checks itself when it is built, so the reader trusts its
+types, its ranges and the SW order of its hooks; only `HookConfig._unchecked`,
+which the builder uses, skips those checks.  An UnderlinedDuckWord checks
+itself in the same way, so phi_prime_inverse trusts its word.  phi and
+phi_prime accept c exactly when some text builds c: c is then reduced, valid
+and 312-avoiding, as phi_prime is a bijection onto the valid words (a theorem
+of the paper, checked on every roundtrip output in the tests).  phi_prime
+wraps that text unchecked; phi_inverse builds its word.  hooks_projection is
+phi's word with the X's dropped and Y, Z written U, D.
 
 The paper's expansion of c, the configuration with 3k points and the heights
 inserted into it, is `u = phi_prime(c)` then `(phi_inverse(u.word),
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from .errors import InvalidInput, ResourceLimit, check_size
 from .hooks import HookConfig
-from .words import UnderlinedDuckWord
+from .words import _TO_DYCK, UnderlinedDuckWord
 
 
 def phi(c: HookConfig) -> str:
@@ -56,6 +56,19 @@ def phi(c: HookConfig) -> str:
     return word
 
 
+def hooks_projection(c: HookConfig) -> str:
+    """
+    Dyck word of a reduced maximal configuration: scanning positions left to
+    right, each SW endpoint contributes U and each NE endpoint contributes D;
+    matched U/D pairs are the hooks.  InvalidInput outside phi's domain.
+
+    The endpoints of such a configuration are left-to-right maxima, so their
+    order by position is their order by height, the order in which phi's
+    word lists them as Y's and Z's; dropping its X's gives the projection.
+    """
+    return phi(c).translate(_TO_DYCK)
+
+
 def _read(c: HookConfig) -> tuple[str, list[int]]:
     # The text that builds c, as its upper-case word and the text positions of
     # its y's, found by replaying _build on c's points (see above).
@@ -64,9 +77,9 @@ def _read(c: HookConfig) -> tuple[str, list[int]]:
     bottoms: list[int] = []  # unused X heights, largest on top
     open_ne = [0]  # NE positions of the open hooks, innermost last, on a 0 matching none
     slot = h = p = t = 0  # hooks opened, height, points read, letters read
+    n = len(perm)
+    letters = ["X"] * (3 * len(hooks))
     try:
-        n = len(perm)
-        letters = ["X"] * (3 * len(hooks))
         while p < n:
             v = perm[p]
             p += 1
@@ -88,11 +101,9 @@ def _read(c: HookConfig) -> tuple[str, list[int]]:
                 t += 1
                 underlines.append(t)
             # either way v is the bottom of the hook just opened, which starts
-            # at the point before it; these are only compared, so each must
-            # be an int, as a float or bool would compare equal to one
+            # at the point before it
             a, b = hooks[slot]
-            if (v != bottoms.pop() or a != p - 1
-                    or type(v) is not int or type(a) is not int or type(b) is not int):
+            if v != bottoms.pop() or a != p - 1:
                 break
             letters[t - 1] = "Y"
             open_ne.append(b)
@@ -101,8 +112,7 @@ def _read(c: HookConfig) -> tuple[str, list[int]]:
             # the n points took n heights up to n, so no bottom is left
             if open_ne == [0] and slot == len(hooks):
                 return "".join(letters), underlines
-    # past an end, a hook that is not a pair, or a part of the wrong type
-    except (IndexError, TypeError, ValueError):
+    except IndexError:  # past the end of perm, hooks or the unused X heights
         pass
     raise InvalidInput("not a reduced 312-avoiding VHC with hooks in SW order")
 
@@ -160,7 +170,7 @@ def _build(text: str) -> HookConfig | None:
         return None
     if bottoms or open_sw:
         return None
-    return HookConfig(tuple(values), tuple(hooks))
+    return HookConfig._unchecked(tuple(values), tuple(hooks))
 
 
 def phi_prime(c: HookConfig) -> UnderlinedDuckWord:

@@ -28,13 +28,18 @@ Permutation = tuple[int, ...]
 def normalize(seq: Sequence[int]) -> Permutation:
     """
     Order-isomorphic permutation of [n]: the i-th smallest entry becomes i.
+    Anything but a sequence of distinct comparable values raises
+    InvalidInput.
 
     >>> normalize((3, 7, 5, 9))
     (1, 3, 2, 4)
     """
-    if len(set(seq)) != len(seq):
-        raise InvalidInput(f"entries are not distinct: {seq!r}")
-    rank = {v: i for i, v in enumerate(sorted(seq), start=1)}
+    try:
+        if len(set(seq)) != len(seq):
+            raise InvalidInput(f"entries are not distinct: {seq!r}")
+        rank = {v: i for i, v in enumerate(sorted(seq), start=1)}
+    except TypeError as exc:  # not a sequence, or of unhashable or incomparable values
+        raise InvalidInput(f"not a sequence of distinct comparable values: {seq!r}") from exc
     return tuple(rank[v] for v in seq)
 
 
@@ -69,9 +74,12 @@ def format_permutation(pi: Permutation) -> str:
 def descent_table(pi: Permutation) -> tuple[tuple[int, int], ...]:
     """The (top, bottom) position pairs of the descents of pi, left to right.
 
+    Anything but a permutation raises InvalidInput.
+
     >>> descent_table((3, 2, 4, 1, 5))
     ((1, 2), (3, 4))
     """
+    pi = check_permutation(pi)
     return tuple((i, i + 1) for i in range(1, len(pi)) if pi[i - 1] > pi[i])
 
 

@@ -13,14 +13,12 @@ from duckwords.hooks import (
     count_vhcs,
     enumerate_red_vhcs_av312,
     enumerate_vhcs,
-    hooks_projection,
     is_reduced,
-    make_config,
     red_vhc_count_brute,
     reduce_config,
     verify_eq1,
 )
-from duckwords.maps import phi, phi_prime
+from duckwords.maps import hooks_projection, phi, phi_prime
 from duckwords.perms import avoids_312, enumerate_av312
 from duckwords.words import enumerate_dyck
 
@@ -41,14 +39,14 @@ INVALID = [
 
 def rejected(perm, hooks) -> bool:
     try:
-        return not check_valid(make_config(perm, hooks)).valid
+        return not check_valid(HookConfig(perm, hooks)).valid
     except InvalidInput:
         return True
 
 
 def test_known_valid_configs():
     for perm, hooks in VALID:
-        report = check_valid(make_config(perm, hooks))
+        report = check_valid(HookConfig(perm, hooks))
         assert report.valid and report.failed_condition == "none"
 
 
@@ -57,7 +55,7 @@ def test_known_invalid_configs():
         assert rejected(perm, hooks)
 
 
-def test_make_config_rejects_ill_formed_hooks():
+def test_hookconfig_rejects_ill_formed_hooks():
     for hooks in (
         [(1, 5)],          # NE beyond n
         [(0, 3)],          # SW before position 1
@@ -70,15 +68,23 @@ def test_make_config_rejects_ill_formed_hooks():
         [5],
     ):
         with pytest.raises(InvalidInput):
-            make_config((2, 1, 3), hooks)
+            HookConfig((2, 1, 3), hooks)
     for text in ('{"perm":[2,1,3],"hooks":[[1,5]]}', '{"perm":[2,1,3],"hooks":7}',
                  '{"perm":[2,1,3]}', "[" * 100000):
         with pytest.raises(InvalidInput):
             HookConfig.from_json(text)
 
 
+def test_hookconfig_lists_its_hooks_in_sw_order():
+    # the same hooks in any order make one record
+    perm, hooks = VALID[0]
+    c = HookConfig(perm, hooks[::-1])
+    assert c.hooks == tuple(hooks)
+    assert c == HookConfig(perm, hooks) and hash(c) == hash(HookConfig(perm, hooks))
+
+
 def test_condition_iii_witness_is_the_crossing_pair():
-    report = check_valid(make_config((3, 2, 1, 4, 5), [(1, 4), (2, 5)]))
+    report = check_valid(HookConfig((3, 2, 1, 4, 5), [(1, 4), (2, 5)]))
     assert (report.failed_condition, report.witness) == ("iii", ((1, 4), (2, 5)))
 
 
@@ -124,7 +130,7 @@ def test_validity_matches_the_drawing():
         valid = []
         for ne in itertools.product(*choices):
             hooks = list(zip(tops, ne))
-            c = make_config(pi, hooks)
+            c = HookConfig(pi, hooks)
             expected = _valid_by_drawing(pi, hooks)
             assert check_valid(c).valid == expected, (pi, hooks)
             if expected:
@@ -139,29 +145,29 @@ def test_validity_matches_the_drawing():
 
 
 def test_condition_i_wrong_sw():
-    report = check_valid(make_config((2, 1, 3), [(2, 3)]))
+    report = check_valid(HookConfig((2, 1, 3), [(2, 3)]))
     assert not report.valid and report.failed_condition == "i"
 
 
 def test_reduced_predicate():
-    assert is_reduced(make_config(*VALID[0]))
-    assert not is_reduced(make_config(*VALID[1]))  # (6,6) is a free point
+    assert is_reduced(HookConfig(*VALID[0]))
+    assert not is_reduced(HookConfig(*VALID[1]))  # (6,6) is a free point
 
 
 def test_json_roundtrip():
-    c = make_config(*VALID[0])
+    c = HookConfig(*VALID[0])
     assert HookConfig.from_json(c.to_json()) == c
 
 
 def test_reduce_example():
-    c = make_config((2, 1, 3, 5, 6, 4, 7), [(1, 4), (5, 7)])
+    c = HookConfig((2, 1, 3, 5, 6, 4, 7), [(1, 4), (5, 7)])
     reduced, removed = reduce_config(c)
-    assert reduced == make_config((2, 1, 4, 5, 3, 6), [(1, 3), (4, 6)])
+    assert reduced == HookConfig((2, 1, 4, 5, 3, 6), [(1, 3), (4, 6)])
     assert removed == frozenset({3})
 
 
 def test_reduce_fixed_point():
-    c = make_config(*VALID[0])
+    c = HookConfig(*VALID[0])
     assert reduce_config(c) == (c, frozenset())
 
 
@@ -197,7 +203,7 @@ def test_max_reduced_endpoints_are_ltr_maxima():
 
 
 def test_hooks_projection_unique_k1():
-    c = make_config((2, 1, 3), [(1, 3)])
+    c = HookConfig((2, 1, 3), [(1, 3)])
     assert hooks_projection(c) == "UD"
 
 
@@ -260,7 +266,7 @@ def test_single_point_has_no_reduced_config():
 
 def test_enumerate_vhcs_lists_a_tuple_permutation():
     configs = list(enumerate_vhcs([2, 1, 3]))
-    assert configs == [make_config((2, 1, 3), [(1, 3)])]
+    assert configs == [HookConfig((2, 1, 3), [(1, 3)])]
     hash(configs[0])
 
 

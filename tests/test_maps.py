@@ -9,12 +9,18 @@ from duckwords.errors import InvalidInput
 from duckwords.hooks import (
     HookConfig,
     enumerate_red_vhcs_av312,
-    hooks_projection,
     is_reduced,
-    make_config,
     reduce_config,
 )
-from duckwords.maps import _build, phi, phi_inverse, phi_prime, phi_prime_inverse, tennis_lawns
+from duckwords.maps import (
+    _build,
+    hooks_projection,
+    phi,
+    phi_inverse,
+    phi_prime,
+    phi_prime_inverse,
+    tennis_lawns,
+)
 from duckwords.perms import enumerate_av312
 from duckwords.words import (
     UnderlinedDuckWord,
@@ -24,13 +30,13 @@ from duckwords.words import (
     psi,
 )
 
-FIG5_CONFIG = make_config(
+FIG5_CONFIG = HookConfig(
     (3, 2, 4, 1, 7, 8, 6, 9, 10, 11, 5, 12),
     [(1, 9), (3, 5), (6, 8), (10, 12)],
 )
 FIG5_WORD = "XXYYXXZYZZYZ"
 
-FIG7_CONFIG = make_config(
+FIG7_CONFIG = HookConfig(
     (3, 2, 1, 5, 6, 4, 8, 9, 7, 10),
     [(1, 8), (2, 4), (5, 7), (8, 10)],
 )
@@ -46,8 +52,8 @@ def test_phi_inverse_known_value():
 
 
 def test_phi_unique_k1():
-    assert phi(make_config((2, 1, 3), [(1, 3)])) == "XYZ"
-    assert phi_inverse("XYZ") == make_config((2, 1, 3), [(1, 3)])
+    assert phi(HookConfig((2, 1, 3), [(1, 3)])) == "XYZ"
+    assert phi_inverse("XYZ") == HookConfig((2, 1, 3), [(1, 3)])
 
 
 def test_height_classification_partitions():
@@ -72,12 +78,12 @@ def test_phi_roundtrip_exhaustive(maximal_configs):
 
 def test_phi_rejects_unreduced():
     with pytest.raises(InvalidInput):
-        phi(make_config((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)]))
+        phi(HookConfig((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)]))
 
 
-INVALID_CONFIG = make_config((2, 1, 4, 3, 5), [(1, 4), (3, 5)])       # point above a hook
-UNREDUCED_CONFIG = make_config((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)])
-CONTAINS_312_CONFIG = make_config((3, 1, 4, 2, 5, 6), [(1, 6), (3, 5)])  # reduced, 3k points
+INVALID_CONFIG = HookConfig((2, 1, 4, 3, 5), [(1, 4), (3, 5)])       # point above a hook
+UNREDUCED_CONFIG = HookConfig((3, 1, 4, 5, 2, 6, 7), [(1, 3), (4, 7)])
+CONTAINS_312_CONFIG = HookConfig((3, 1, 4, 2, 5, 6), [(1, 6), (3, 5)])  # reduced, 3k points
 
 
 def test_maps_decide_the_domain_on_every_hook_subset():
@@ -93,7 +99,7 @@ def test_maps_decide_the_domain_on_every_hook_subset():
         choices = [[None] + [b for b in range(a + 1, n + 1) if pi[b - 1] > pi[a - 1]]
                    for a in range(1, n + 1)]
         for ne in itertools.product(*choices):
-            c = make_config(pi, [(a, b) for a, b in enumerate(ne, start=1) if b])
+            c = HookConfig(pi, [(a, b) for a, b in enumerate(ne, start=1) if b])
             inside = in_domain(c)
             maximal = inside and c.n == 3 * c.k
             assert (accepts(phi_prime, c), accepts(phi, c)) == (inside, maximal), c
@@ -160,8 +166,9 @@ def test_builder_lists_deeply_nested_hooks_as_the_reference_sorts_them():
 
 
 def test_maps_reject_configs_outside_their_domain():
-    # a bare HookConfig whose hooks are not in SW order is not well formed
-    unordered = HookConfig(FIG5_CONFIG.perm, FIG5_CONFIG.hooks[::-1])
+    # a HookConfig built unchecked with its hooks out of SW order is not well
+    # formed, and the maps reject it
+    unordered = HookConfig._unchecked(FIG5_CONFIG.perm, FIG5_CONFIG.hooks[::-1])
     for c in (INVALID_CONFIG, UNREDUCED_CONFIG, CONTAINS_312_CONFIG, unordered):
         for f in (phi, phi_prime, hooks_projection):
             with pytest.raises(InvalidInput):
@@ -234,7 +241,8 @@ def assert_reads_as_the_reference(c):
 
 def test_reader_matches_read_and_rebuild_on_every_small_config():
     # every set of hooks with distinct SW positions a < b on every
-    # permutation with n <= 5, in SW order and reversed
+    # permutation with n <= 5, in SW order and reversed, built unchecked so
+    # the reader also sees those the constructor refuses
     seen = 0
     for n in range(6):
         for pi in itertools.permutations(range(1, n + 1)):
@@ -242,14 +250,15 @@ def test_reader_matches_read_and_rebuild_on_every_small_config():
             for ne in itertools.product(*choices):
                 hooks = tuple((a, b) for a, b in enumerate(ne, start=1) if b)
                 for order in {hooks, hooks[::-1]}:
-                    assert_reads_as_the_reference(HookConfig(pi, order))
+                    assert_reads_as_the_reference(HookConfig._unchecked(pi, order))
                     seen += 1
     assert seen == 28518
 
 
 def mutate(c, rng):
     """c with one of four seeded changes: two values swapped, a hook end
-    moved by one within 1..n, two hooks swapped, or a hook dropped."""
+    moved by one within 1..n, two hooks swapped, or a hook dropped.  It is
+    built unchecked, as the constructor refuses some of these."""
     perm, hooks = list(c.perm), list(c.hooks)
     kind = rng.randrange(4)
     if kind == 0:
@@ -266,7 +275,7 @@ def mutate(c, rng):
         hooks[i], hooks[j] = hooks[j], hooks[i]
     else:
         del hooks[rng.randrange(len(hooks))]
-    return HookConfig(tuple(perm), tuple(hooks))
+    return HookConfig._unchecked(tuple(perm), tuple(hooks))
 
 
 def test_reader_matches_read_and_rebuild_on_mutated_configs():
@@ -293,35 +302,33 @@ def test_reader_matches_read_and_rebuild_on_mutated_configs():
 
 
 ILL_FORMED = [
-    HookConfig((1, 2, 3), ((1, 5),)),            # NE position past the end
-    HookConfig((2, 1, 3), ((4, 5),)),            # SW position past the end
-    HookConfig((2, 1, 3), ((1, 3), (2, 9))),
-    HookConfig((), ((1, 2),)),
-    HookConfig((2, 1, 7), ((1, 3),)),            # a value above n
-    HookConfig((4, 1, 3), ((1, 3),)),
-    HookConfig((2, 1, 0), ((1, 3),)),            # a value below 1
-    HookConfig((2, 1, 3), ((0, 3),)),            # a position below 1
-    HookConfig((2, 1, 3), ((1, 3, 4),)),         # a hook that is not a pair
-    HookConfig(("a",), ()),                      # a value that is not a number
-    HookConfig((2, 1, 3), (5,)),                 # a hook that is not a sequence
-    HookConfig((2.0, 1, 3), ((1, 3),)),          # a float value, which cannot index
-    HookConfig((2, 1.0, 3), ((1, 3),)),          # a float bottom, only compared
-    HookConfig((2, True, 3), ((1, 3),)),         # a bool bottom
-    HookConfig((2, 1, 3), ((1.0, 3.0),)),        # float hook ends, only compared
-    HookConfig((2, 1, 3), ((True, 3),)),         # a bool hook end
-    HookConfig(None, ()),                        # perm without a length
-    HookConfig((2, 1, 3), None),                 # hooks without a length
+    ((1, 2, 3), ((1, 5),)),            # NE position past the end
+    ((2, 1, 3), ((4, 5),)),            # SW position past the end
+    ((2, 1, 3), ((1, 3), (2, 9))),
+    ((), ((1, 2),)),
+    ((2, 1, 7), ((1, 3),)),            # a value above n
+    ((4, 1, 3), ((1, 3),)),
+    ((2, 1, 0), ((1, 3),)),            # a value below 1
+    ((2, 1, 3), ((0, 3),)),            # a position below 1
+    ((2, 1, 3), ((1, 3, 4),)),         # a hook that is not a pair
+    (("a",), ()),                      # a value that is not a number
+    ((2, 1, 3), (5,)),                 # a hook that is not a sequence
+    ((2.0, 1, 3), ((1, 3),)),          # a float value
+    ((2, 1.0, 3), ((1, 3),)),          # a float bottom
+    ((2, True, 3), ((1, 3),)),         # a bool bottom
+    ((2, 1, 3), ((1.0, 3.0),)),        # float hook ends
+    ((2, 1, 3), ((True, 3),)),         # a bool hook end
+    (None, ()),                        # perm without a length
+    ((2, 1, 3), None),                 # hooks without a length
 ]
 
 
 def test_maps_reject_ill_formed_bare_configs():
-    # a bare HookConfig is not checked when it is built; phi and phi_prime
-    # reject one whose positions or values are out of range or of a type the
-    # reader cannot use
-    for c in ILL_FORMED:
-        for f in (phi, phi_prime):
-            with pytest.raises(InvalidInput):
-                f(c)
+    # no ill-formed configuration reaches phi or phi_prime: HookConfig refuses
+    # one whose positions or values are out of range or of the wrong type
+    for perm, hooks in ILL_FORMED:
+        with pytest.raises(InvalidInput):
+            HookConfig(perm, hooks)
     # seeded configurations with at least one value or position outside 1..n
     rng = random.Random(2601)
     for _ in range(2000):
@@ -335,10 +342,8 @@ def test_maps_reject_ill_formed_bare_configs():
         else:
             h = rng.randrange(len(hooks))
             hooks[h] = (out, hooks[h][1]) if rng.random() < 0.5 else (hooks[h][0], out)
-        c = HookConfig(tuple(perm), tuple(hooks))
-        for f in (phi, phi_prime):
-            with pytest.raises(InvalidInput):
-                f(c)
+        with pytest.raises(InvalidInput):
+            HookConfig(tuple(perm), tuple(hooks))
 
 
 def test_expand_known_value():
@@ -346,7 +351,7 @@ def test_expand_known_value():
     # heights inserted; the contraction is phi_prime_inverse
     u = phi_prime(FIG7_CONFIG)
     expanded = phi_inverse(u.word)
-    assert expanded == make_config(
+    assert expanded == HookConfig(
         (3, 2, 4, 1, 6, 7, 5, 9, 10, 11, 8, 12),
         [(1, 9), (3, 5), (6, 8), (10, 12)],
     )

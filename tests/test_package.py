@@ -22,6 +22,7 @@ from duckwords import (
     UnderlinedDuckWord,
     ValidityReport,
 )
+from duckwords.render import render_svg
 
 # every record class, each built twice from fresh containers, with its repr
 RECORDS = [
@@ -52,12 +53,12 @@ PACKAGE_NAMES = {
     "InvalidInput", "ResourceLimit",
     "Permutation", "avoids_312", "descent_table", "enumerate_av312", "normalize",
     "parse_permutation",
-    "HookConfig", "ValidityReport", "check_valid", "enumerate_vhcs", "hooks_projection",
-    "is_reduced", "make_config", "reduce_config", "verify_eq1",
+    "HookConfig", "ValidityReport", "check_valid", "enumerate_vhcs", "is_reduced",
+    "reduce_config", "verify_eq1",
     "RewrittenDuckWord", "UnderlinedDuckWord", "decode", "duck_index", "enumerate_3d_dyck",
     "enumerate_dyck", "enumerate_rewritten", "enumerate_underlined", "psi", "rewrite",
     "underline_all",
-    "phi", "phi_inverse", "phi_prime", "phi_prime_inverse", "tennis_lawns",
+    "hooks_projection", "phi", "phi_inverse", "phi_prime", "phi_prime_inverse", "tennis_lawns",
     "CountTriangle", "IntPolynomial", "catalan", "catalan3d", "duck_k1_oracle",
     "duck_triangle", "f_poly", "h_poly", "load_golden_triangle", "tennis_ball_weighted",
     "underlined_triangle", "verify_identities",
@@ -107,7 +108,7 @@ def test_count_triangle_checks_its_rows():
 
 
 def test_package_names():
-    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 45
+    assert len(duckwords.__all__) == len(PACKAGE_NAMES) == 44
     assert set(duckwords.__all__) == PACKAGE_NAMES
     listed = {n for n in dir(duckwords)
               if not n.startswith("_") and not isinstance(getattr(duckwords, n), types.ModuleType)}
@@ -133,6 +134,12 @@ WRONG_TYPES = {
     "avoids_312((3,))": lambda: duckwords.avoids_312((3,)),
     "avoids_312((2.0, 1))": lambda: duckwords.avoids_312((2.0, 1)),
     "avoids_312(None)": lambda: duckwords.avoids_312(None),
+    "descent_table(None)": lambda: duckwords.descent_table(None),
+    "descent_table((1, 'a'))": lambda: duckwords.descent_table((1, "a")),
+    "descent_table((2.5, 1))": lambda: duckwords.descent_table((2.5, 1)),
+    "normalize(None)": lambda: duckwords.normalize(None),
+    "normalize([[1], [2]])": lambda: duckwords.normalize([[1], [2]]),
+    "normalize((1, 'a'))": lambda: duckwords.normalize((1, "a")),
     "enumerate_underlined(2.5, 0)": lambda: list(duckwords.enumerate_underlined(2.5, 0)),
     "enumerate_underlined(2, 0.0)": lambda: list(duckwords.enumerate_underlined(2, 0.0)),
     "enumerate_rewritten(2.5, 0)": lambda: list(duckwords.enumerate_rewritten(2.5, 0)),
@@ -151,6 +158,10 @@ WRONG_TYPES = {
     "enumerate_vhcs((2.5, 1, 3))": lambda: list(duckwords.enumerate_vhcs((2.5, 1, 3))),
     "enumerate_vhcs((2, 2, 1))": lambda: list(duckwords.enumerate_vhcs((2, 2, 1))),
     "enumerate_vhcs(None)": lambda: list(duckwords.enumerate_vhcs(None)),
+    "reduce_config(HookConfig(('a',), ()))": lambda: duckwords.reduce_config(HookConfig(("a",), ())),
+    "check_valid(HookConfig(None, ()))": lambda: duckwords.check_valid(HookConfig(None, ())),
+    "render_svg(HookConfig((2, 1, 3), ((1, 5),)))":
+        lambda: render_svg(HookConfig((2, 1, 3), ((1, 5),))),
     "CountTriangle(None)": lambda: CountTriangle(None),
     "CountTriangle(((1.5,),))": lambda: CountTriangle(((1.5,),)),
     "CountTriangle(((True,),))": lambda: CountTriangle(((True,),)),

@@ -1,6 +1,6 @@
 """
 Property and fuzz tests: the bijections on random words, the boundary
-checks of make_config and of the word constructors on random malformed input,
+checks of the HookConfig and word constructors on random malformed input,
 and the CLI on random JSON.
 """
 import contextlib
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from duckwords.cli import main
 from duckwords.errors import InvalidInput
-from duckwords.hooks import make_config
+from duckwords.hooks import HookConfig
 from duckwords.maps import phi, phi_inverse, phi_prime, phi_prime_inverse
 from duckwords.words import (
     RewrittenDuckWord,
@@ -86,7 +86,7 @@ def test_roundtrips_at_large_k():
         assert decode(rewrite(u)) == u
 
 
-# --- make_config on random malformed input ----------------------------------
+# --- HookConfig on random malformed input -----------------------------------
 
 entries = st.one_of(st.integers(-2, 8), st.booleans(), st.floats(-2, 8), st.text(max_size=1))
 
@@ -105,24 +105,24 @@ def well_formed_hooks(perm, hooks) -> bool:
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(entries, max_size=7))
-def test_make_config_rejects_malformed_perms(perm):
+def test_hookconfig_rejects_malformed_perms(perm):
     is_perm = all(type(v) is int for v in perm) and sorted(perm) == list(range(1, len(perm) + 1))
     if is_perm:
-        assert make_config(perm, []).perm == tuple(perm)
+        assert HookConfig(perm, []).perm == tuple(perm)
     else:
         with pytest.raises(InvalidInput):
-            make_config(perm, [])
+            HookConfig(perm, [])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.permutations(range(1, 7)), st.lists(st.lists(entries, min_size=1, max_size=3), max_size=4))
-def test_make_config_rejects_malformed_hooks(perm, hooks):
+def test_hookconfig_rejects_malformed_hooks(perm, hooks):
     if well_formed_hooks(perm, hooks):
-        c = make_config(perm, hooks)
-        assert sorted(c.hooks) == sorted(tuple(h) for h in hooks)
+        c = HookConfig(perm, hooks)
+        assert c.hooks == tuple(sorted(tuple(h) for h in hooks))
     else:
         with pytest.raises(InvalidInput):
-            make_config(perm, hooks)
+            HookConfig(perm, hooks)
 
 
 # --- the word constructors on random fields ---------------------------------
